@@ -24,6 +24,7 @@ from .errors import (
     EmptyLimit,
     GlueMismatch,
     GluingInfeasible,
+    InvalidBracket,
     InvalidSubset,
     LengthMismatch,
     MetricPairsError,

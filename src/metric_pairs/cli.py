@@ -321,7 +321,7 @@ def main(argv=None):
         }
         _emit(args, report)
         return EXIT_INPUT
-    except (formats.ParseError, MetricPairsError, OSError, KeyError) as exc:
+    except (MetricPairsError, OSError) as exc:
         report["error"] = {"kind": type(exc).__name__, "detail": str(exc)}
         _emit(args, report)
         return EXIT_INPUT

@@ -81,6 +81,10 @@ class ResolutionTooCoarse(MetricPairsError):
     pass
 
 
+class InvalidBracket(MetricPairsError):
+    """A computed bracket broke its invariants: inverted, or wider than the resolution."""
+
+
 class SizeLimitExceeded(MetricPairsError):
     def __init__(self, limit):
         self.limit = limit

@@ -27,7 +27,11 @@ class ParseError(MetricPairsError):
 def _as_doc(source, text=None):
     if isinstance(source, dict):
         return source
-    raw = text if text is not None else open(source, "r", encoding="utf-8").read()
+    if text is not None:
+        raw = text
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            raw = fh.read()
     stripped = raw.lstrip()
     if stripped.startswith("{"):
         try:
@@ -35,6 +39,13 @@ def _as_doc(source, text=None):
         except json.JSONDecodeError as exc:
             raise ParseError(source, f"bad JSON at line {exc.lineno}") from None
     return {"_csv": raw}
+
+
+def _field(source, doc, key, kind):
+    try:
+        return doc[key]
+    except (KeyError, TypeError):
+        raise ParseError(source, f"{kind} document needs '{key}'") from None
 
 
 def load_space(source, text=None):
@@ -45,11 +56,8 @@ def load_space(source, text=None):
 
 
 def space_from_doc(source, doc):
-    try:
-        labels = doc["labels"]
-        dist = doc["dist"]
-    except KeyError as exc:
-        raise ParseError(source, f"space document missing field {exc}") from None
+    labels = _field(source, doc, "labels", "space")
+    dist = _field(source, doc, "dist", "space")
     tol = doc.get("tolerance")
     pseudo = bool(doc.get("pseudo", False))
     return validate_metric(np.asarray(dist, dtype=float), tol=tol, labels=labels, pseudo=pseudo)
@@ -103,10 +111,8 @@ def load_pair(source, text=None):
     doc = _as_doc(source, text)
     if "_csv" in doc:
         raise ParseError(source, "pair documents must be JSON")
-    if "subset" not in doc or "space" not in doc:
-        raise ParseError(source, "pair document needs 'space' and 'subset'")
-    space = space_from_doc(source, doc["space"])
-    return MetricPair(space, _labels_to_subset(source, space, doc["subset"]))
+    space = space_from_doc(source, _field(source, doc, "space", "pair"))
+    return MetricPair(space, _labels_to_subset(source, space, _field(source, doc, "subset", "pair")))
 
 
 def pair_doc(pair):
@@ -118,10 +124,8 @@ def pair_doc(pair):
 
 def load_tuple(source, text=None):
     doc = _as_doc(source, text)
-    if "chain" not in doc or "space" not in doc:
-        raise ParseError(source, "tuple document needs 'space' and 'chain'")
-    space = space_from_doc(source, doc["space"])
-    chain = tuple(_labels_to_subset(source, space, level) for level in doc["chain"])
+    space = space_from_doc(source, _field(source, doc, "space", "tuple"))
+    chain = tuple(_labels_to_subset(source, space, level) for level in _field(source, doc, "chain", "tuple"))
     return MetricTuple(space, chain)
 
 
@@ -134,17 +138,11 @@ def tuple_doc(mt):
 
 def load_gluing(source, text=None, left=None, right=None):
     doc = _as_doc(source, text)
-    if "cross" not in doc:
-        raise ParseError(source, "gluing document needs a 'cross' matrix")
+    cross = np.asarray(_field(source, doc, "cross", "gluing"), dtype=float)
     if left is None:
-        if "left" not in doc:
-            raise ParseError(source, "gluing document needs 'left' (no ambient supplied)")
-        left = space_from_doc(source, doc["left"])
+        left = space_from_doc(source, _field(source, doc, "left", "gluing"))
     if right is None:
-        if "right" not in doc:
-            raise ParseError(source, "gluing document needs 'right' (no ambient supplied)")
-        right = space_from_doc(source, doc["right"])
-    cross = np.asarray(doc["cross"], dtype=float)
+        right = space_from_doc(source, _field(source, doc, "right", "gluing"))
     return CrossMetric(left, right, cross, pseudo=bool(doc.get("pseudo", False)))
 
 
@@ -161,22 +159,19 @@ def load_chain(source, text=None):
     from .chain_lab import build_chain
 
     doc = _as_doc(source, text)
-    for key in ("pairs", "glues", "eps_budget"):
-        if key not in doc:
-            raise ParseError(source, f"chain document needs '{key}'")
+    pdocs, gdocs, budgets = (_field(source, doc, key, "chain") for key in ("pairs", "glues", "eps_budget"))
     pairs = []
-    for pdoc in doc["pairs"]:
-        if "space" not in pdoc or "subset" not in pdoc:
-            raise ParseError(source, "each chain pair needs 'space' and 'subset'")
-        space = space_from_doc(source, pdoc["space"])
-        pairs.append(MetricPair(space, _labels_to_subset(source, space, pdoc["subset"])))
+    for pdoc in pdocs:
+        space = space_from_doc(source, _field(source, pdoc, "space", "chain pair"))
+        subset = _field(source, pdoc, "subset", "chain pair")
+        pairs.append(MetricPair(space, _labels_to_subset(source, space, subset)))
     glues = []
-    for i, gdoc in enumerate(doc["glues"]):
+    for i, gdoc in enumerate(gdocs):
         # inside a chain the member spaces stand in for omitted sides
         left = pairs[i].space if "left" not in gdoc else None
         right = pairs[i + 1].space if "right" not in gdoc else None
         glues.append(load_gluing(gdoc, left=left, right=right))
-    return build_chain(pairs, glues, [float(e) for e in doc["eps_budget"]])
+    return build_chain(pairs, glues, [float(e) for e in budgets])
 
 
 def chain_doc(chain):
@@ -211,14 +206,6 @@ def _stringify_keys(obj):
     if isinstance(obj, (np.floating,)):
         return float(obj)
     return obj
-
-
-def profile_table(profile):
-    """Two-column numeric table with a kind header."""
-    lines = [f"kind,{profile.kind}", "eps,value"]
-    for eps, value in profile.samples:
-        lines.append(f"{eps!r},{value}")
-    return "\n".join(lines) + "\n"
 
 
 def dumps(doc):

@@ -16,6 +16,11 @@ Replacing the last Y-segment of any alternating path by the within-X distance
 shows longer crossings never beat this two-edge condition, so it is exactly
 the no-shortcut test of the shortest-path closure; certificates are still
 materialized (and re-validated) through glue_from_constraints.
+
+At fixed caps the condition becomes one tensor of allowed-value bitmasks per
+query, one row per ordered variable pair. A bit-parallel arc-consistency
+fixpoint over that tensor refutes most infeasible caps before any search, and
+backtracking runs only on the components that binding pairs connect.
 """
 
 import os
@@ -25,6 +30,7 @@ import numpy as np
 
 from .errors import (
     ChainLengthMismatch,
+    InvalidBracket,
     LengthMismatch,
     NonPositiveEpsilon,
     PreconditionViolated,
@@ -70,7 +76,11 @@ class ApproximationPair:
 
 @dataclass(frozen=True)
 class DistanceBracket:
-    """lo <= true infimum <= hi, with hi - lo at most the requested resolution."""
+    """lo <= true infimum <= hi, with hi - lo at most the requested resolution.
+
+    ``tol`` is the spaces' tolerance. A certified hi carries up to 2 * tol of
+    slack, which the width invariant allows for.
+    """
 
     lo: float
     hi: float
@@ -78,12 +88,13 @@ class DistanceBracket:
     certificate: object = None  # CrossMetric carrying the hi side, when available
     lo_reason: str = ""
     witness: object = None
+    tol: float = 0.0
 
     def __post_init__(self):
-        if not (self.lo <= self.hi + 1e-12):
-            raise ValueError(f"bracket inverted: [{self.lo}, {self.hi}]")
-        if self.hi - self.lo > self.resolution + 1e-12:
-            raise ValueError(
+        if not (self.lo <= self.hi + self.tol):
+            raise InvalidBracket(f"bracket inverted: [{self.lo}, {self.hi}]")
+        if self.hi - self.lo > self.resolution + 2 * self.tol:
+            raise InvalidBracket(
                 f"bracket wider than resolution: [{self.lo}, {self.hi}] vs {self.resolution}"
             )
 
@@ -161,12 +172,15 @@ class _VarSystem:
         self.nvars = len(self.vars)
         self.domlists = [sorted(_mask_bits(m)) for (_, _, _, m) in self.vars]
         self.pos_of = [{p: k for k, p in enumerate(dom)} for dom in self.domlists]
-        # per ordered var pair: the smallest achievable mismatch over both domains
+        # per var pair: the smallest achievable mismatch over both domains
+        # (i < j only) and the largest (symmetric)
         self.pair_min = np.zeros((self.nvars, self.nvars))
+        self.pair_max = np.zeros((self.nvars, self.nvars))
         for i in range(self.nvars):
             for j in range(i + 1, self.nvars):
                 block = self._delta_block(i, j)
                 self.pair_min[i, j] = block.min()
+                self.pair_max[i, j] = self.pair_max[j, i] = block.max()
 
     def _delta_block(self, i, j):
         """Mismatch matrix of ordered pair (i, j) over their domains: rows p, cols q."""
@@ -196,108 +210,115 @@ class _VarSystem:
 class _MaskSearch(_VarSystem):
     """Assignment search at fixed caps, with bitmask forward checking.
 
+    A query at caps builds one (V, V, n) row tensor over the V variables:
+    entry [i, j, p] is the bitmask of values of variable j compatible with
+    value p of variable i. It is gathered in one step from packed threshold
+    tensors, of which the last few thresholds stay cached. A bit-parallel
+    fixpoint over that tensor then prunes every domain to the greatest
+    arc-consistent ones before any search starts, and variables linked by no
+    binding pair are searched as separate components.
+
     ``feasible`` returns some satisfying assignment using deterministic
     most-constrained-first variable selection (much faster at refuting, and
     the verdict cannot depend on order); ``first_witness`` explores variables
     in their fixed order with values ascending, so the assignment it returns
-    is the lexicographically first one. Threshold masks are cached per
-    (family, theta), which matters in sweeps that revisit thresholds.
+    is the lexicographically first one.
     """
 
-    def _packed(self, fam, theta):
-        cache = getattr(self, "_tensor_cache", None)
-        if cache is None:
-            cache = self._tensor_cache = {}
-        key = (fam, theta)
-        if key not in cache:
-            w_l = np.array([1 << q for q in range(self.nl)], dtype=np.int64)
-            w_r = np.array([1 << q for q in range(self.nr)], dtype=np.int64)
-            if fam == "ll":
-                cache[key] = (self.d_ll <= theta).astype(np.int64) @ w_r
-            elif fam == "rr":
-                cache[key] = (self.d_ll <= theta).transpose(2, 3, 0, 1).astype(np.int64) @ w_l
-            elif fam == "lr":
-                cache[key] = (self.d_lr <= theta).astype(np.int64) @ w_l
-            else:  # rl
-                cache[key] = (self.d_lr <= theta).transpose(1, 0, 3, 2).astype(np.int64) @ w_r
-        return cache[key]
+    _TENSOR_KEEP = 16  # thresholds whose packed tensors stay cached
 
-    def _rows(self, i, j, theta):
-        """Allowed-value bitmasks of var j per raw value of var i."""
-        cache = getattr(self, "_row_cache", None)
-        if cache is None:
-            cache = self._row_cache = {}
-        key = (i, j, theta)
-        if key not in cache:
-            si, srci = self.vars[i][0], self.vars[i][1]
-            sj, srcj = self.vars[j][0], self.vars[j][1]
-            fam = {(0, 0): "ll", (1, 1): "rr", (0, 1): "lr", (1, 0): "rl"}[(si, sj)]
-            cache[key] = self._packed(fam, theta)[srci, srcj].tolist()
-        return cache[key]
+    def finalize(self):
+        super().finalize()
+        v = self.nvars
+        side = np.array([s for (s, _, _, _) in self.vars], dtype=np.intp)
+        src = np.array([x for (_, x, _, _) in self.vars], dtype=np.intp)
+        self._cls = np.array([c for (_, _, c, _) in self.vars], dtype=np.intp)
+        self._point = src + side * self.nl  # source point in the union of both spaces
+        self._full = np.array([m for (_, _, _, m) in self.vars], dtype=np.int64)
+        upper = np.triu_indices(v, 1)
+        self._pair_min_upper = self.pair_min[upper]
+        self._cls_upper = (self._cls[upper[0]], self._cls[upper[1]])
+        self._bits = np.left_shift(1, np.arange(max(self.nl, self.nr)), dtype=np.int64)
+        self._tensor_cache = {}
+
+    def _packed(self, theta):
+        """Allowed-value bitmasks at one threshold, indexed by source points in
+        the union of both spaces (left points first): [u, w, p] is the mask of
+        values of a variable with source w compatible with value p of a
+        variable with source u."""
+        cache = self._tensor_cache
+        packed = cache.get(theta)
+        if packed is None:
+            nl, nr = self.nl, self.nr
+            ok_ll = (self.d_ll <= theta).astype(np.int64)
+            ok_lr = (self.d_lr <= theta).astype(np.int64)
+            w_l, w_r = self._bits[:nl], self._bits[:nr]
+            packed = np.zeros((nl + nr, nl + nr, len(self._bits)), dtype=np.int64)
+            packed[:nl, :nl, :nr] = ok_ll @ w_r
+            packed[nl:, nl:, :nl] = ok_ll.transpose(2, 3, 0, 1) @ w_l
+            packed[:nl, nl:, :nr] = ok_lr @ w_l
+            packed[nl:, :nl, :nl] = ok_lr.transpose(1, 0, 3, 2) @ w_r
+            if len(cache) >= self._TENSOR_KEEP:
+                del cache[next(iter(cache))]
+            cache[theta] = packed
+        return packed
 
     def _build_masks(self, budgets):
-        v = self.nvars
-        caps = [budgets[c] for (_, _, c, _) in self.vars]
-        for i in range(v):
-            for j in range(i + 1, v):
-                if self.pair_min[i, j] > caps[i] + caps[j] + self.tol:
-                    return None  # some pair is already impossible at these caps
-        masks = [[None] * v for _ in range(v)]
-        for i in range(v):
-            for j in range(v):
-                if i != j:
-                    masks[i][j] = self._rows(i, j, caps[i] + caps[j] + self.tol)
-        return masks
+        """Row tensor and per-pair thresholds caps_i + caps_j + tol, or None
+        when some pair's smallest mismatch already exceeds its threshold."""
+        caps = np.asarray(budgets, dtype=float)
+        theta = caps[:, None] + caps[None, :] + self.tol  # per class pair
+        if (self._pair_min_upper > theta[self._cls_upper]).any():
+            return None  # some pair is already impossible at these caps
+        stack = np.stack([self._packed(float(t)) for t in theta.ravel()])
+        cls, point = self._cls, self._point
+        rows = stack[cls[:, None] * len(caps) + cls[None, :], point[:, None], point[None, :]]
+        return rows, theta[cls[:, None], cls[None, :]]
 
-    def _components(self, masks):
-        """Variables linked by a binding constraint; saturated pairs decouple.
+    def _arc_consistent(self, rows):
+        """Greatest arc-consistent domains, or None on a wipeout.
 
-        Splitting matters: caps that leave one class unconstrained would
-        otherwise multiply every refutation of the other class by the full
-        product of untouched domains.
+        Every round keeps the values that find a compatible value in every
+        other domain, for all variables at once. The greatest fixpoint is
+        unique, so it equals what per-arc revision in any order reaches. The
+        diagonal needs no mask: at nonnegative caps a value is compatible with
+        itself (mismatch 0).
         """
-        v = self.nvars
-        parent = list(range(v))
+        doms = self._full
+        while True:
+            supported = ((rows & doms[None, :, None]) != 0).all(axis=1)
+            new = doms & (supported @ self._bits)
+            if not new.all():
+                return None
+            if (new == doms).all():
+                return new.tolist()
+            doms = new
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def _components(self, theta):
+        """Variables linked by a binding pair; saturated pairs decouple.
 
-        full = [m for (_, _, _, m) in self.vars]
-        for i in range(v):
-            di = self.domlists[i]
-            for j in range(i + 1, v):
-                rows = masks[i][j]
-                if any((rows[p] & full[j]) != full[j] for p in di):
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-        groups = {}
-        for i in range(v):
-            groups.setdefault(find(i), []).append(i)
-        return sorted(groups.values(), key=lambda g: g[0])
+        A pair binds when some values of its domains mismatch by more than
+        its threshold. Splitting matters: caps that leave one class
+        unconstrained would otherwise multiply every refutation of the other
+        class by the full product of untouched domains.
+        """
+        binding = self.pair_max > theta
+        unseen = np.ones(self.nvars, dtype=bool)
+        comps = []
+        for start in range(self.nvars):
+            if not unseen[start]:
+                continue
+            reach = np.zeros(self.nvars, dtype=bool)
+            reach[start] = True
+            front = reach.copy()
+            while front.any():
+                front = binding[front].any(axis=0) & ~reach
+                reach |= front
+            unseen &= ~reach
+            comps.append(np.flatnonzero(reach).tolist())
+        return comps
 
-    def _ac3(self, comp, doms, masks):
-        """Arc-consistency fixpoint on one component; False on a wipeout."""
-        queue = [(i, j) for i in comp for j in comp if i != j]
-        while queue:
-            i, j = queue.pop()
-            row = masks[i][j]
-            dom_j = doms[j]
-            new = 0
-            for p in _mask_bits(doms[i]):
-                if row[p] & dom_j:
-                    new |= 1 << p
-            if new != doms[i]:
-                if new == 0:
-                    return False
-                doms[i] = new
-                queue.extend((i2, i) for i2 in comp if i2 != i)
-        return True
-
-    def _solve_component(self, comp, masks, lexicographic):
+    def _solve_component(self, comp, doms, masks, lexicographic):
         """Assignment for one component, or None; deterministic either way.
 
         Lexicographic mode fixes the variable order (first-witness semantics);
@@ -305,9 +326,6 @@ class _MaskSearch(_VarSystem):
         refutes infeasible caps far faster and cannot change the verdict.
         """
         tick = self.budget.tick
-        doms0 = {i: self.vars[i][3] for i in comp}
-        if not self._ac3(comp, doms0, masks):
-            return None
         out = {}
 
         def rec(doms, todo):
@@ -335,14 +353,22 @@ class _MaskSearch(_VarSystem):
                         return True
             return False
 
-        if rec(doms0, list(comp)):
+        if rec({i: doms[i] for i in comp}, comp):
             return out
         return None
 
-    def _assemble(self, masks, lexicographic):
+    def _assemble(self, budgets, lexicographic):
+        built = self._build_masks(budgets)
+        if built is None:
+            return None
+        rows, theta = built
+        doms = self._arc_consistent(rows)
+        if doms is None:
+            return None  # refuted before any component is searched
+        masks = rows.tolist()
         out = [None] * self.nvars
-        for comp in self._components(masks):
-            got = self._solve_component(comp, masks, lexicographic)
+        for comp in self._components(theta):
+            got = self._solve_component(comp, doms, masks, lexicographic)
             if got is None:
                 return None
             for i, p in got.items():
@@ -351,17 +377,11 @@ class _MaskSearch(_VarSystem):
 
     def feasible(self, budgets):
         """Some satisfying assignment at these caps, or None (fast refutation)."""
-        masks = self._build_masks(budgets)
-        if masks is None:
-            return None
-        return self._assemble(masks, lexicographic=False)
+        return self._assemble(budgets, lexicographic=False)
 
     def first_witness(self, budgets):
         """The lexicographically first satisfying assignment, or None."""
-        masks = self._build_masks(budgets)
-        if masks is None:
-            return None
-        return self._assemble(masks, lexicographic=True)
+        return self._assemble(budgets, lexicographic=True)
 
     def pair_delta(self, i, vi, j, vj):
         si, srci = self.vars[i][0], self.vars[i][1]
@@ -573,6 +593,13 @@ def _check_resolution(resolution, *spaces):
         raise ResolutionTooCoarse(f"resolution {resolution} exceeds the diameter scale {scale}")
 
 
+def _check_certificate_slack(resolution, *spaces):
+    """A certified hi carries 2 * tol of slack, so no bracket can be narrower."""
+    slack = 2 * max(s.tol for s in spaces)
+    if resolution < slack:
+        raise PreconditionViolated("resolution is below the certificate slack 2 * tol", (resolution, slack))
+
+
 def _space_key(space):
     return (len(space), space.labels, space.dist.tobytes())
 
@@ -598,6 +625,7 @@ def _mirror_bracket(bracket):
         certificate=bracket.certificate.transposed() if bracket.certificate else None,
         lo_reason=bracket.lo_reason,
         witness=witness,
+        tol=bracket.tol,
     )
 
 
@@ -611,6 +639,7 @@ def gh_compact_pair(pair_p, pair_q, resolution, budget=None):
     total to the requested resolution.
     """
     _check_resolution(resolution, pair_p.space, pair_q.space)
+    _check_certificate_slack(resolution, pair_p.space, pair_q.space)
     if _swap_for_canonical_order(pair_p, pair_q):
         return _mirror_bracket(gh_compact_pair(pair_q, pair_p, resolution, budget))
     bud = _Budget(_budget_limit(budget))
@@ -650,13 +679,15 @@ def gh_compact_pair(pair_p, pair_q, resolution, budget=None):
         return None
 
     def tighten(values, hi, best):
-        # exact cost of the found assignment: often far below the tested total
+        # exact cost of the found assignment: often far below the tested total,
+        # and at most tol above it, so the cheapest one found stays within
+        # tol of the bisection's feasible bound
         m = system.class_maxima(values, 2)
         caps = (m[0][0] / 2, max(m[1][1] / 2, m[0][1] - m[0][0] / 2))
         total = caps[0] + caps[1]
-        if total < hi:
-            return total, caps
-        return hi, best
+        if best is None or total < best[0] + best[1]:
+            best = caps
+        return min(hi, total), best
 
     scale = max(left.diameter, right.diameter)
     t_lo = lo0
@@ -691,6 +722,7 @@ def gh_compact_pair(pair_p, pair_q, resolution, budget=None):
         certificate=cert,
         lo_reason=f"no cap split glued below a total of {t_lo:.9g}",
         witness=_witness_dict(system, values, caps),
+        tol=tol,
     )
 
 
@@ -704,6 +736,7 @@ def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
     if tuple_t.depth != tuple_u.depth:
         raise ChainLengthMismatch(f"{tuple_t.depth} vs {tuple_u.depth}")
     _check_resolution(resolution, tuple_t.space, tuple_u.space)
+    _check_certificate_slack(resolution, tuple_t.space, tuple_u.space)
     key_t = (_space_key(tuple_t.space), tuple(ref.indices for ref in tuple_t.chain))
     key_u = (_space_key(tuple_u.space), tuple(ref.indices for ref in tuple_u.chain))
     if key_t > key_u:
@@ -756,6 +789,7 @@ def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
         certificate=cert,
         lo_reason=f"no cap vector glued below a total of {t_lo:.9g}",
         witness=_witness_dict(system, values, caps),
+        tol=tol,
     )
 
 
@@ -791,6 +825,7 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
             certificate=None,
             lo_reason="no admissible gluing found at the 1/2 truncation cap",
             witness=None,
+            tol=tol,
         )
     e_lo, e_hi = 0.0, cap
     while e_hi - e_lo > resolution / 2 and e_hi > tol:
@@ -812,6 +847,7 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
         certificate=cert,
         lo_reason=f"no (eps; A, B)-admissible gluing found at eps = {e_lo:.9g}",
         witness=witness,
+        tol=tol,
     )
 
 
@@ -972,6 +1008,7 @@ def min_approx_eps(pair_p, pair_q, resolution, budget=None):
         certificate=None,
         lo_reason=f"approximation search failed at eps = {e_lo:.9g}",
         witness={"f": list(best.f), "g": list(best.g), "eps": float(e_hi)},
+        tol=tol,
     )
 
 

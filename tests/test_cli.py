@@ -238,3 +238,28 @@ def test_glue_pseudo_flag(docs, capsys):
     capsys.readouterr()
     assert main(["glue", str(path), "--pseudo"]) == 0
     capsys.readouterr()
+
+
+def test_pair_document_without_subset_is_parse_error(docs, capsys):
+    doc = formats.pair_doc(formats.load_pair(str(docs["p"])))
+    del doc["subset"]
+    path = docs["tmp"] / "no_subset.json"
+    path.write_text(formats.dumps(doc))
+    assert main(["gh", str(path), str(docs["q"]), "--resolution", "1e-3"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["kind"] == "ParseError"
+    assert "subset" in report["error"]["detail"]
+
+
+def test_gh_resolution_below_certificate_slack_is_input_error(docs, capsys):
+    rng = np.random.default_rng(7)
+    paths = []
+    for name, idx in (("big_p", [0, 1]), ("big_q", [2])):
+        space = random_space(rng, 4, lo=1e5, hi=1e6)
+        path = docs["tmp"] / f"{name}.json"
+        path.write_text(formats.dumps(formats.pair_doc(MetricPair(space, space.subset(idx)))))
+        paths.append(str(path))
+    assert main(["gh", *paths, "--resolution", "1e-3"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["kind"] == "PreconditionViolated"
+    assert "result" not in report

@@ -3,6 +3,8 @@ import pytest
 
 from metric_pairs import (
     ConvergenceSchedule,
+    DistanceBracket,
+    InvalidBracket,
     MetricPair,
     MetricTuple,
     PreconditionViolated,
@@ -21,6 +23,7 @@ from metric_pairs import (
     validate_metric,
     verify_convergence,
 )
+from metric_pairs.gh_solver import _Budget, _MaskSearch, _pair_vars
 
 import oracles
 from conftest import jittered_copy, line_space, random_pair, random_space, random_subset
@@ -78,6 +81,30 @@ def test_resolution_and_budget_guards():
         gh_compact_pair(p, q, 1e6)
     with pytest.raises(SizeLimitExceeded):
         gh_compact_pair(p, q, 1e-3, budget=5)
+
+
+def test_resolution_below_certificate_slack_is_typed():
+    # distances near 1e6 give a tolerance near 1e-3, so the 2 * tol slack on
+    # the certified hi side is wider than the requested resolution
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        left = random_space(rng, 4, lo=1e5, hi=1e6)
+        right = random_space(rng, 4, lo=1e5, hi=1e6)
+        p, q = _pair(left, [0, 1]), _pair(right, [2])
+        with pytest.raises(PreconditionViolated):
+            gh_compact_pair(p, q, 1e-3)
+        tol = max(left.tol, right.tol)
+        bracket = gh_compact_pair(p, q, 2 * tol)
+        assert bracket.tol == tol
+        assert bracket.hi - bracket.lo <= bracket.resolution + 2 * tol
+
+
+def test_bracket_invariants_raise_typed_errors():
+    with pytest.raises(InvalidBracket):
+        DistanceBracket(lo=1.0, hi=0.5, resolution=1.0, tol=0.1)
+    with pytest.raises(InvalidBracket):
+        DistanceBracket(lo=0.0, hi=1.5, resolution=1.0, tol=0.2)
+    assert DistanceBracket(lo=0.0, hi=1.4, resolution=1.0, tol=0.2).hi == 1.4
 
 
 def test_certificate_achieves_hi():
@@ -165,6 +192,56 @@ def test_truncated_solver_agrees_with_raw_enumeration_oracle():
                 assert bracket.lo <= eps + 1e-9
             else:
                 assert bracket.hi >= eps - 1e-9
+
+
+def _mask_kernel(p, q):
+    tol = max(p.space.tol, q.space.tol)
+    system = _MaskSearch(p.space.dist, q.space.dist, tol, _Budget(10**6))
+    _pair_vars(system, p, q)
+    system.finalize()
+    return system, tol
+
+
+@pytest.mark.parametrize("n_right", [2, 3])
+def test_mask_kernel_verdicts_match_raw_enumeration_oracle(n_right):
+    rng = np.random.default_rng(20 + n_right)
+    seen = {"early_none": 0, "split": 0, "feasible": 0, "refuted_after_masks": 0}
+    for _ in range(2):
+        left = random_space(rng, 3, hi=2.0)
+        right = random_space(rng, n_right, hi=2.0)
+        a = random_subset(rng, 3, k=1)
+        b = random_subset(rng, n_right, k=1)
+        p, q = MetricPair(left, left.subset(a)), MetricPair(right, right.subset(b))
+        system, tol = _mask_kernel(p, q)
+        # halves of mismatch values put some pair exactly at caps_i + caps_j;
+        # caps at the diameter bind nothing, so that class splits off
+        halves = np.unique(system.d_ll[system.d_ll > 0]) / 2
+        free = max(left.diameter, right.diameter)
+        grid = [0.0, *np.quantile(halves, [0.2, 0.4, 0.6, 0.8, 1.0], method="nearest"), free]
+        for t1 in grid:
+            for t2 in grid:
+                caps = (float(t1), float(t2))
+                built = system._build_masks(caps)
+                if built is None:
+                    seen["early_none"] += 1
+                elif len(system._components(built[1])) > 1:
+                    seen["split"] += 1
+                got = system.feasible(caps)
+                want = oracles.compact_feasible_at_caps(left.dist, right.dist, a, b, *caps, tol=tol)
+                assert (got is not None) == want, caps
+                first = system.first_witness(caps)
+                assert (first is not None) == (got is not None), caps
+                if want:
+                    seen["feasible"] += 1
+                elif built is not None:
+                    seen["refuted_after_masks"] += 1
+                for values in (got, first) if want else ():
+                    for i in range(system.nvars):
+                        assert values[i] in system.domlists[i]
+                        for j in range(i + 1, system.nvars):
+                            bound = caps[system.vars[i][2]] + caps[system.vars[j][2]] + tol
+                            assert system.pair_delta(i, values[i], j, values[j]) <= bound
+    assert all(seen.values()), seen
 
 
 def test_approx_search_identity_and_validation():
