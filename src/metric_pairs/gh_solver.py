@@ -23,6 +23,7 @@ fixpoint over that tensor refutes most infeasible caps before any search, and
 backtracking runs only on the components that binding pairs connect.
 """
 
+import copy
 import os
 from dataclasses import dataclass
 
@@ -143,9 +144,26 @@ class _VarSystem:
     Each variable assigns a partner across the gluing: side 0 variables map a
     left point to a right point, side 1 the reverse. ``cls`` indexes the cap
     budget the variable's edge consumes. The mismatch of an ordered variable
-    pair at values (p, q) is |d_L - d_R| of the induced point pairs; the four
+    pair at values (p, q) is |d_L - d_R| of the induced point pairs; the two
     family tensors below hold those mismatches for every combination.
+
+    ``finalize`` builds every table a search needs once, in bulk. Variables
+    sharing a side and a domain form a group (a pair has four: f, g, alpha,
+    beta), and each pair of groups costs one gather from a family tensor at
+    the groups' source points, reduced in row chunks so that no temporary
+    approaches the size of a family tensor:
+
+    * ``pair_min[i, j]`` (i < j; zero on and below the diagonal) is the
+      smallest mismatch over both domains, ``pair_max`` (symmetric, zero
+      diagonal) the largest;
+    * ``_build_masks`` turns a per-class-pair threshold matrix into one
+      (V, V, n) row tensor of allowed-value bitmasks, gathered from packed
+      threshold tensors over the union of both spaces' points. Those do not
+      depend on the variables, so ``subsystem`` shares their cache.
     """
+
+    _TENSOR_KEEP = 16  # thresholds whose packed tensors stay cached
+    _CHUNK = 1 << 16  # elements per gathered block
 
     def __init__(self, dl, dr, tol, budget):
         nl, nr = len(dl), len(dr)
@@ -158,6 +176,8 @@ class _VarSystem:
         self.d_ll = np.abs(dl[:, :, None, None] - dr[None, None, :, :])
         # d_lr[x, y, p, q] = |d_L(x, q) - d_R(p, y)|   (side 0 before side 1)
         self.d_lr = np.abs(dl[:, None, None, :] - dr.T[None, :, :, None])
+        self._bits = np.left_shift(1, np.arange(max(nl, nr)), dtype=np.int64)
+        self._tensor_cache = {}
         self.vars = []  # (side, src, cls, domain_mask)
         self.meta = []  # (kind, key) labels for witness extraction
 
@@ -169,77 +189,79 @@ class _VarSystem:
         self.meta.append((kind, key))
 
     def finalize(self):
-        self.nvars = len(self.vars)
-        self.domlists = [sorted(_mask_bits(m)) for (_, _, _, m) in self.vars]
+        v = len(self.vars)
+        low, high = np.zeros((v, v)), np.zeros((v, v))
+        for rows, cols, block in self._group_blocks():
+            lo, hi = block.min(axis=(2, 3)), block.max(axis=(2, 3))
+            low[np.ix_(rows, cols)], low[np.ix_(cols, rows)] = lo, lo.T
+            high[np.ix_(rows, cols)], high[np.ix_(cols, rows)] = hi, hi.T
+        np.fill_diagonal(high, 0.0)
+        self.domlists = [_mask_bits(m) for (_, _, _, m) in self.vars]
         self.pos_of = [{p: k for k, p in enumerate(dom)} for dom in self.domlists]
-        # per var pair: the smallest achievable mismatch over both domains
-        # (i < j only) and the largest (symmetric)
-        self.pair_min = np.zeros((self.nvars, self.nvars))
-        self.pair_max = np.zeros((self.nvars, self.nvars))
-        for i in range(self.nvars):
-            for j in range(i + 1, self.nvars):
-                block = self._delta_block(i, j)
-                self.pair_min[i, j] = block.min()
-                self.pair_max[i, j] = self.pair_max[j, i] = block.max()
-
-    def _delta_block(self, i, j):
-        """Mismatch matrix of ordered pair (i, j) over their domains: rows p, cols q."""
-        si, srci, _, _ = self.vars[i]
-        sj, srcj, _, _ = self.vars[j]
-        di, dj = self.domlists[i], self.domlists[j]
-        if si == 0 and sj == 0:
-            return self.d_ll[srci, srcj][np.ix_(di, dj)]
-        if si == 1 and sj == 1:
-            return self.d_ll[:, :, srci, srcj][np.ix_(di, dj)]
-        if si == 0 and sj == 1:
-            return self.d_lr[srci, srcj][np.ix_(di, dj)]
-        return self.d_lr[srcj, srci][np.ix_(dj, di)].T
-
-    def class_floor(self, n_classes):
-        """Entrywise lower bound on any assignment's per-class-pair mismatch maxima."""
-        floor = np.zeros((n_classes, n_classes))
-        for i in range(self.nvars):
-            ci = self.vars[i][2]
-            for j in range(i + 1, self.nvars):
-                cj = self.vars[j][2]
-                a, b = min(ci, cj), max(ci, cj)
-                floor[a, b] = max(floor[a, b], self.pair_min[i, j])
-        return np.maximum(floor, floor.T)
-
-
-class _MaskSearch(_VarSystem):
-    """Assignment search at fixed caps, with bitmask forward checking.
-
-    A query at caps builds one (V, V, n) row tensor over the V variables:
-    entry [i, j, p] is the bitmask of values of variable j compatible with
-    value p of variable i. It is gathered in one step from packed threshold
-    tensors, of which the last few thresholds stay cached. A bit-parallel
-    fixpoint over that tensor then prunes every domain to the greatest
-    arc-consistent ones before any search starts, and variables linked by no
-    binding pair are searched as separate components.
-
-    ``feasible`` returns some satisfying assignment using deterministic
-    most-constrained-first variable selection (much faster at refuting, and
-    the verdict cannot depend on order); ``first_witness`` explores variables
-    in their fixed order with values ascending, so the assignment it returns
-    is the lexicographically first one.
-    """
-
-    _TENSOR_KEEP = 16  # thresholds whose packed tensors stay cached
-
-    def finalize(self):
-        super().finalize()
-        v = self.nvars
         side = np.array([s for (s, _, _, _) in self.vars], dtype=np.intp)
         src = np.array([x for (_, x, _, _) in self.vars], dtype=np.intp)
         self._cls = np.array([c for (_, _, c, _) in self.vars], dtype=np.intp)
         self._point = src + side * self.nl  # source point in the union of both spaces
         self._full = np.array([m for (_, _, _, m) in self.vars], dtype=np.int64)
+        self._tables(np.triu(low, 1), high)
+
+    def _tables(self, pair_min, pair_max):
+        """Both pair tables, and the upper-triangle views the mask builder tests."""
+        self.nvars = v = len(self.vars)
+        self.pair_min, self.pair_max = pair_min, pair_max
         upper = np.triu_indices(v, 1)
-        self._pair_min_upper = self.pair_min[upper]
+        self._pair_min_upper = pair_min[upper]
         self._cls_upper = (self._cls[upper[0]], self._cls[upper[1]])
-        self._bits = np.left_shift(1, np.arange(max(self.nl, self.nr)), dtype=np.int64)
-        self._tensor_cache = {}
+
+    def _group_blocks(self):
+        """Mismatch blocks of every pair of variable groups, in row chunks.
+
+        Yields (rows, cols, block): block[a, b, p, q] is the mismatch of the
+        ordered variable pair (rows[a], cols[b]) at the p-th and q-th values
+        of their domains. Each unordered pair of groups comes once; the other
+        order is the transpose, because mismatches are symmetric.
+        """
+        groups = {}
+        for k, (side, _, _, mask) in enumerate(self.vars):
+            groups.setdefault((side, mask), []).append(k)
+        # the family tensor of each side pair, as [src_i, src_j, value_i, value_j]
+        family = {
+            (0, 0): self.d_ll,
+            (1, 1): self.d_ll.transpose(2, 3, 0, 1),
+            (0, 1): self.d_lr,
+            (1, 0): self.d_lr.transpose(1, 0, 3, 2),
+        }
+        src = np.array([x for (_, x, _, _) in self.vars], dtype=np.intp)
+        keys = list(groups)
+        for g, key_g in enumerate(keys):
+            dom_g = _mask_bits(key_g[1])
+            for key_h in keys[g:]:
+                dom_h = _mask_bits(key_h[1])
+                tensor = family[key_g[0], key_h[0]]
+                members, cols = groups[key_g], groups[key_h]
+                step = max(1, self._CHUNK // (len(cols) * len(dom_g) * len(dom_h)))
+                for start in range(0, len(members), step):
+                    rows = members[start : start + step]
+                    yield rows, cols, tensor[np.ix_(src[rows], src[cols], dom_g, dom_h)]
+
+    def subsystem(self, keep):
+        """The system restricted to the variables ``keep`` (ascending), in their
+        order. Its tables are sub-matrices of this system's, and it shares the
+        family tensors, the packed-tensor cache and the budget."""
+        sub = copy.copy(self)
+        sub.vars, sub.meta = [self.vars[k] for k in keep], [self.meta[k] for k in keep]
+        sub.domlists, sub.pos_of = [self.domlists[k] for k in keep], [self.pos_of[k] for k in keep]
+        sub._cls, sub._point, sub._full = self._cls[keep], self._point[keep], self._full[keep]
+        sel = np.ix_(keep, keep)
+        sub._tables(self.pair_min[sel], self.pair_max[sel])
+        return sub
+
+    def class_floor(self, n_classes):
+        """Entrywise lower bound on any assignment's per-class-pair mismatch maxima."""
+        floor = np.zeros((n_classes, n_classes))
+        ci, cj = self._cls_upper
+        np.maximum.at(floor, (np.minimum(ci, cj), np.maximum(ci, cj)), self._pair_min_upper)
+        return np.maximum(floor, floor.T)
 
     def _packed(self, theta):
         """Allowed-value bitmasks at one threshold, indexed by source points in
@@ -263,17 +285,37 @@ class _MaskSearch(_VarSystem):
             cache[theta] = packed
         return packed
 
-    def _build_masks(self, budgets):
-        """Row tensor and per-pair thresholds caps_i + caps_j + tol, or None
-        when some pair's smallest mismatch already exceeds its threshold."""
-        caps = np.asarray(budgets, dtype=float)
-        theta = caps[:, None] + caps[None, :] + self.tol  # per class pair
+    def _build_masks(self, theta):
+        """Row tensor at a per-class-pair threshold matrix, and the thresholds
+        of every variable pair; None when some pair's smallest mismatch
+        already exceeds its threshold.
+
+        Row tensor entry [i, j, p] is the bitmask of values of variable j
+        compatible with value p of variable i.
+        """
         if (self._pair_min_upper > theta[self._cls_upper]).any():
-            return None  # some pair is already impossible at these caps
+            return None  # some pair is already impossible at these thresholds
         stack = np.stack([self._packed(float(t)) for t in theta.ravel()])
-        cls, point = self._cls, self._point
-        rows = stack[cls[:, None] * len(caps) + cls[None, :], point[:, None], point[None, :]]
-        return rows, theta[cls[:, None], cls[None, :]]
+        ci, cj = self._cls[:, None], self._cls[None, :]
+        rows = stack[ci * len(theta) + cj, self._point[:, None], self._point[None, :]]
+        return rows, theta[ci, cj]
+
+
+class _MaskSearch(_VarSystem):
+    """Assignment search at fixed caps, with bitmask forward checking.
+
+    A query at caps passes the thresholds caps_i + caps_j + tol to the shared
+    mask builder. A bit-parallel fixpoint over the row tensor then prunes
+    every domain to the greatest arc-consistent ones before any search
+    starts, and variables linked by no binding pair are searched as separate
+    components.
+
+    ``feasible`` returns some satisfying assignment using deterministic
+    most-constrained-first variable selection (much faster at refuting, and
+    the verdict cannot depend on order); ``first_witness`` explores variables
+    in their fixed order with values ascending, so the assignment it returns
+    is the lexicographically first one.
+    """
 
     def _arc_consistent(self, rows):
         """Greatest arc-consistent domains, or None on a wipeout.
@@ -358,7 +400,8 @@ class _MaskSearch(_VarSystem):
         return None
 
     def _assemble(self, budgets, lexicographic):
-        built = self._build_masks(budgets)
+        caps = np.asarray(budgets, dtype=float)
+        built = self._build_masks(caps[:, None] + caps[None, :] + self.tol)
         if built is None:
             return None
         rows, theta = built
@@ -470,36 +513,35 @@ class _LpSearch(_VarSystem):
     """Assignment search minimizing the total cap budget across several classes.
 
     Tracks the per-class-pair mismatch maxima of the partial assignment and
-    prunes once their LP-minimal total exceeds the target.
+    prunes once their LP-minimal total exceeds the target. A query at total T
+    forward-checks domains with the shared mask builder at the necessary caps:
+    a same-class pair cannot mismatch by more than 2T, a cross-class pair by
+    more than T.
     """
 
     def prepare(self):
+        """``delta_rows[j][i]`` (j < i): the mismatch block of the ordered pair
+        (j, i) as nested lists, rows over j's values and columns over i's."""
         v = self.nvars
-        # delta_rows[j][i][qpos] = list over i's value positions (for j < i)
         self.delta_rows = [[None] * v for _ in range(v)]
-        for j in range(v):
-            for i in range(j + 1, v):
-                self.delta_rows[j][i] = self._delta_block(j, i).tolist()
+        for rows, cols, block in self._group_blocks():
+            fwd, back = block.tolist(), block.transpose(0, 1, 3, 2).tolist()
+            for a, i in enumerate(rows):
+                for b, j in enumerate(cols):
+                    if i < j:
+                        self.delta_rows[i][j] = fwd[a][b]
+                    elif j < i:
+                        self.delta_rows[j][i] = back[a][b]
 
     def feasible(self, total, n_classes):
         v = self.nvars
         tol = self.tol
         cls = [c for (_, _, c, _) in self.vars]
-        # necessary caps at this total: cross-class pairs cannot exceed T,
-        # same-class pairs 2T; forward-check domains against them
-        masks = [[None] * v for _ in range(v)]
-        for i in range(v):
-            for j in range(i + 1, v):
-                if self.pair_min[i, j] > (2 * total if cls[i] == cls[j] else total) + tol:
-                    return None
-        for i in range(v):
-            di = self.domlists[i]
-            for j in range(i + 1, v):
-                theta = (2 * total if cls[i] == cls[j] else total) + tol
-                block = self._delta_block(i, j) <= theta
-                weights = np.array([1 << q for q in self.domlists[j]], dtype=np.int64)
-                packed = block.astype(np.int64) @ weights
-                masks[i][j] = {p: int(m) for p, m in zip(di, packed)}
+        theta = np.where(np.eye(n_classes, dtype=bool), 2 * total, total) + tol
+        built = self._build_masks(theta)
+        if built is None:
+            return None
+        masks = built[0].tolist()
         out_pos = [0] * v
         out = [None] * v
         tick = self.budget.tick
@@ -553,20 +595,43 @@ class _LpSearch(_VarSystem):
         return list(out), point
 
 
-def _pair_vars(system, pair_l, pair_r, ball_l=None, ball_r=None, cls_space=0, cls_subset=1):
-    """Standard variable layout: f on the left (or a ball), g on the right,
-    then subset maps both ways. Fixed order keeps witnesses lexicographic."""
+def _pair_vars(system, pair_l, pair_r, cls_space=0, cls_subset=1):
+    """Standard variable layout: f on the left, g on the right, then subset
+    maps both ways. Fixed order keeps witnesses lexicographic."""
     nl, nr = system.nl, system.nr
-    dom_l = range(nl) if ball_l is None else ball_l.indices
-    dom_r = range(nr) if ball_r is None else ball_r.indices
-    for x in dom_l:
+    for x in range(nl):
         system.add_var(0, x, cls_space, range(nr), "f", x)
-    for y in dom_r:
+    for y in range(nr):
         system.add_var(1, y, cls_space, range(nl), "g", y)
     for a in pair_l.a.indices:
         system.add_var(0, a, cls_subset, pair_r.a.indices, "alpha", a)
     for b in pair_r.a.indices:
         system.add_var(1, b, cls_subset, pair_l.a.indices, "beta", b)
+
+
+def _tuple_vars(system, tuple_t, tuple_u):
+    """Tuple layout: f and g in class 0, then the subset maps of chain level k
+    both ways in class k + 1."""
+    for x in range(system.nl):
+        system.add_var(0, x, 0, range(system.nr), "f", x)
+    for y in range(system.nr):
+        system.add_var(1, y, 0, range(system.nl), "g", y)
+    for k in range(tuple_t.depth):
+        for a in tuple_t.chain[k].indices:
+            system.add_var(0, a, k + 1, tuple_u.chain[k].indices, "alpha", (k, a))
+        for b in tuple_u.chain[k].indices:
+            system.add_var(1, b, k + 1, tuple_t.chain[k].indices, "beta", (k, b))
+
+
+def _truncated_system(full, pair_p, pair_q, eps):
+    """The sub-system of ``full`` whose variables have their source in the
+    closed (1/eps)-ball of their side's distinguished subset."""
+    radius = 1.0 / eps
+    inside = (
+        set(ball(pair_p.space, pair_p.a, radius, "closed").indices),
+        set(ball(pair_q.space, pair_q.a, radius, "closed").indices),
+    )
+    return full.subsystem([k for k, (side, src, _, _) in enumerate(full.vars) if src in inside[side]])
 
 
 def _witness_dict(system, values, caps):
@@ -746,15 +811,7 @@ def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
     tol = max(left.tol, right.tol)
     n_cls = tuple_t.depth + 1
     system = _LpSearch(left.dist, right.dist, tol, bud)
-    for x in range(len(left)):
-        system.add_var(0, x, 0, range(len(right)), "f", x)
-    for y in range(len(right)):
-        system.add_var(1, y, 0, range(len(left)), "g", y)
-    for k in range(tuple_t.depth):
-        for a in tuple_t.chain[k].indices:
-            system.add_var(0, a, k + 1, tuple_u.chain[k].indices, "alpha", (k, a))
-        for b in tuple_u.chain[k].indices:
-            system.add_var(1, b, k + 1, tuple_t.chain[k].indices, "beta", (k, b))
+    _tuple_vars(system, tuple_t, tuple_u)
     system.finalize()
     system.prepare()
 
@@ -798,7 +855,10 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
 
     Feasibility at eps caps every assigned edge at eps, with map domains
     restricted to the closed (1/eps)-balls of the distinguished subsets;
-    monotone bisection on eps, capped at 1/2.
+    monotone bisection on eps, capped at 1/2. One system over all points is
+    built per call; each step searches its sub-system of the variables whose
+    source lies in the two balls. Ball indices ascend, so the variables keep
+    the order a system built on the balls alone would give them.
     """
     _check_resolution(resolution, pair_p.space, pair_q.space)
     if _swap_for_canonical_order(pair_p, pair_q):
@@ -806,18 +866,12 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
     bud = _Budget(_budget_limit(budget))
     left, right = pair_p.space, pair_q.space
     tol = max(left.tol, right.tol)
-
-    def build_system(eps):
-        radius = 1.0 / eps
-        ball_l = ball(left, pair_p.a, radius, "closed")
-        ball_r = ball(right, pair_q.a, radius, "closed")
-        system = _MaskSearch(left.dist, right.dist, tol, bud)
-        _pair_vars(system, pair_p, pair_q, ball_l, ball_r, cls_space=0, cls_subset=0)
-        system.finalize()
-        return system
+    full = _MaskSearch(left.dist, right.dist, tol, bud)
+    _pair_vars(full, pair_p, pair_q, cls_space=0, cls_subset=0)
+    full.finalize()
 
     cap = 0.5
-    if not build_system(cap).feasible((cap,)):
+    if not _truncated_system(full, pair_p, pair_q, cap).feasible((cap,)):
         return DistanceBracket(
             lo=cap,
             hi=cap,
@@ -830,11 +884,11 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
     e_lo, e_hi = 0.0, cap
     while e_hi - e_lo > resolution / 2 and e_hi > tol:
         mid = (e_hi + e_lo) / 2
-        if build_system(mid).feasible((mid,)):
+        if _truncated_system(full, pair_p, pair_q, mid).feasible((mid,)):
             e_hi = mid
         else:
             e_lo = mid
-    system = build_system(e_hi)
+    system = _truncated_system(full, pair_p, pair_q, e_hi)
     values = system.first_witness((e_hi,))
     cert = _certificate(left, right, system, values, [e_hi])
     report = check_eps_admissible(cert, pair_p.a, pair_q.a, e_hi)

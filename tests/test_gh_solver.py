@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metric_pairs import (
     ConvergenceSchedule,
@@ -23,10 +27,17 @@ from metric_pairs import (
     validate_metric,
     verify_convergence,
 )
-from metric_pairs.gh_solver import _Budget, _MaskSearch, _pair_vars
+from metric_pairs.gh_solver import (
+    _Budget,
+    _LpSearch,
+    _MaskSearch,
+    _pair_vars,
+    _truncated_system,
+    _tuple_vars,
+)
 
 import oracles
-from conftest import jittered_copy, line_space, random_pair, random_space, random_subset
+from conftest import closure_of, jittered_copy, line_space, random_pair, random_space, random_subset
 
 
 def _pair(space, idx):
@@ -221,7 +232,7 @@ def test_mask_kernel_verdicts_match_raw_enumeration_oracle(n_right):
         for t1 in grid:
             for t2 in grid:
                 caps = (float(t1), float(t2))
-                built = system._build_masks(caps)
+                built = system._build_masks(np.add.outer(caps, caps) + tol)
                 if built is None:
                     seen["early_none"] += 1
                 elif len(system._components(built[1])) > 1:
@@ -242,6 +253,215 @@ def test_mask_kernel_verdicts_match_raw_enumeration_oracle(n_right):
                             bound = caps[system.vars[i][2]] + caps[system.vars[j][2]] + tol
                             assert system.pair_delta(i, values[i], j, values[j]) <= bound
     assert all(seen.values()), seen
+
+
+def _domain(mask):
+    return [v for v in range(64) if mask >> v & 1]
+
+
+def _reference_block(system, i, j):
+    """Mismatch of the ordered variable pair (i, j) over their domains, from dl and dr."""
+    si, srci, _, mi = system.vars[i]
+    sj, srcj, _, mj = system.vars[j]
+    block = np.empty((len(_domain(mi)), len(_domain(mj))))
+    for a, p in enumerate(_domain(mi)):
+        for b, q in enumerate(_domain(mj)):
+            li, ri = (srci, p) if si == 0 else (p, srci)
+            lj, rj = (srcj, q) if sj == 0 else (q, srcj)
+            block[a, b] = abs(system.dl[li, lj] - system.dr[ri, rj])
+    return block
+
+
+def _assert_tables_match_reference(system, n_classes):
+    v = system.nvars
+    assert system.domlists == [_domain(m) for (_, _, _, m) in system.vars]
+    floor = np.zeros((n_classes, n_classes))
+    for i in range(v):
+        assert system.pair_min[i, i] == 0.0 and system.pair_max[i, i] == 0.0
+        for j in range(i + 1, v):
+            block = _reference_block(system, i, j)
+            assert system.pair_min[i, j] == block.min() and system.pair_min[j, i] == 0.0
+            assert system.pair_max[i, j] == system.pair_max[j, i] == block.max()
+            a, b = sorted((system.vars[i][2], system.vars[j][2]))
+            floor[a, b] = floor[b, a] = max(floor[a, b], block.min())
+    assert np.array_equal(system.class_floor(n_classes), floor)
+
+
+def _assert_masks_match_reference(system, theta):
+    """Forward-check masks at a per-class-pair threshold matrix, entry by entry."""
+    cls = [c for (_, _, c, _) in system.vars]
+    built = system._build_masks(theta)
+    hopeless = any(
+        system.pair_min[i, j] > theta[cls[i], cls[j]]
+        for i in range(system.nvars)
+        for j in range(i + 1, system.nvars)
+    )
+    assert (built is None) == hopeless
+    if built is None:
+        return 0
+    rows, pair_theta = built
+    for i in range(system.nvars):
+        for j in range(system.nvars):
+            if i == j:
+                continue
+            assert pair_theta[i, j] == theta[cls[i], cls[j]]
+            block = _reference_block(system, i, j)
+            for a, p in enumerate(system.domlists[i]):
+                want = sum(1 << q for b, q in enumerate(system.domlists[j]) if block[a, b] <= pair_theta[i, j])
+                assert int(rows[i, j, p]) & system.vars[j][3] == want
+    return 1
+
+
+def _nested_tuple(rng, space, depth):
+    order = rng.permutation(len(space))
+    sizes = sorted(rng.choice(np.arange(1, len(space) + 1), size=depth, replace=False))
+    return MetricTuple(space, tuple(space.subset(sorted(order[:k].tolist())) for k in sizes))
+
+
+def _tuple_system(t, u):
+    tol = max(t.space.tol, u.space.tol)
+    system = _LpSearch(t.space.dist, u.space.dist, tol, _Budget(10**6))
+    _tuple_vars(system, t, u)
+    system.finalize()
+    system.prepare()
+    return system, tol
+
+
+def test_mask_kernel_tables_match_per_pair_reference():
+    rng = np.random.default_rng(41)
+    checked = 0
+    for n_left, n_right in ((3, 4), (5, 3), (4, 4)):
+        p = random_pair(rng, n_lo=n_left, n_hi=n_left)
+        q = random_pair(rng, n_lo=n_right, n_hi=n_right)
+        system, tol = _mask_kernel(p, q)
+        _assert_tables_match_reference(system, 2)
+        # no pair is hopeless once both caps reach half the largest pair_min
+        m, big = system.pair_min.max() / 2, system.pair_max.max() / 2
+        for caps in ([0.0, 0.0], [m, m], [m, big / 2], [big, m]):
+            caps = np.array(caps)
+            checked += _assert_masks_match_reference(system, np.add.outer(caps, caps) + tol)
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_lp_search_tables_match_per_pair_reference(depth):
+    rng = np.random.default_rng(43 + depth)
+    checked = 0
+    for n in (3, 4):
+        left, right = random_space(rng, n, hi=3.0), random_space(rng, n + depth % 2, hi=3.0)
+        system, tol = _tuple_system(_nested_tuple(rng, left, depth), _nested_tuple(rng, right, depth))
+        _assert_tables_match_reference(system, depth + 1)
+        for j in range(system.nvars):
+            for i in range(j + 1, system.nvars):
+                assert system.delta_rows[j][i] == _reference_block(system, j, i).tolist()
+        # no pair is hopeless once the total reaches the largest pair_min
+        m, big = system.pair_min.max(), system.pair_max.max()
+        for total in (0.0, m / 2, m, (m + big) / 2):
+            theta = np.where(np.eye(depth + 1, dtype=bool), 2 * total, total) + tol
+            checked += _assert_masks_match_reference(system, theta)
+    assert checked >= 4
+
+
+def test_truncated_subsystems_equal_systems_built_on_the_balls():
+    rng = np.random.default_rng(47)
+    seen = set()
+    for _ in range(4):
+        left = random_space(rng, 5, hi=8.0)
+        right = jittered_copy(left, rng, 0.5)
+        a = random_subset(rng, 5, k=2)
+        p, q = _pair(left, a), _pair(right, a)
+        tol = max(left.tol, right.tol)
+        full = _MaskSearch(left.dist, right.dist, tol, _Budget(10**6))
+        _pair_vars(full, p, q, cls_space=0, cls_subset=0)
+        full.finalize()
+        for eps in (0.5, 0.3, 0.2, 0.12, 0.08):
+            sub = _truncated_system(full, p, q, eps)
+            ref = _MaskSearch(left.dist, right.dist, tol, _Budget(10**6))
+            ball_l = [x for x in range(5) if left.dist[x, a].min() <= 1 / eps + left.tol]
+            ball_r = [y for y in range(5) if right.dist[y, a].min() <= 1 / eps + right.tol]
+            for x in ball_l:
+                ref.add_var(0, x, 0, range(5), "f", x)
+            for y in ball_r:
+                ref.add_var(1, y, 0, range(5), "g", y)
+            for x in a:
+                ref.add_var(0, x, 0, a, "alpha", x)
+            for y in a:
+                ref.add_var(1, y, 0, a, "beta", y)
+            ref.finalize()
+            seen.add((len(ball_l), len(ball_r)))
+            assert sub.vars == ref.vars and sub.meta == ref.meta
+            assert np.array_equal(sub.pair_min, ref.pair_min)
+            assert np.array_equal(sub.pair_max, ref.pair_max)
+            theta = np.array([[2 * eps + tol]])
+            got, want = sub._build_masks(theta), ref._build_masks(theta)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert sub.first_witness((eps,)) == ref.first_witness((eps,))
+    assert len(seen) > 1  # some balls cut points off
+
+
+def test_finalize_allocates_no_second_family_tensor():
+    rng = np.random.default_rng(53)
+    left, right = random_space(rng, 24), random_space(rng, 24)
+    p, q = _pair(left, random_subset(rng, 24, k=12)), _pair(right, random_subset(rng, 24, k=12))
+    system = _MaskSearch(left.dist, right.dist, max(left.tol, right.tol), _Budget(10**6))
+    _pair_vars(system, p, q)
+    tracemalloc.start()
+    try:
+        system.finalize()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < system.d_ll.nbytes, (peak, system.d_ll.nbytes)
+
+
+@st.composite
+def _small_pairs(draw, max_points=5):
+    """A pair on at most ``max_points`` points with small integer weights, so ties are common."""
+    n = draw(st.integers(1, max_points))
+    w = np.array(draw(st.lists(st.integers(1, 6), min_size=n * n, max_size=n * n)), dtype=float)
+    w = w.reshape(n, n) / 2
+    space = validate_metric(closure_of(w + w.T))
+    a = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return MetricPair(space, space.subset(sorted(a)))
+
+
+@st.composite
+def _relabelled(draw, pair):
+    perm = draw(st.permutations(range(len(pair.space))))
+    space = validate_metric(pair.space.dist[np.ix_(perm, perm)])
+    return MetricPair(space, space.subset(sorted(perm.index(i) for i in pair.a.indices)))
+
+
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@_PROPERTY
+@given(st.data())
+def test_truncated_bracket_exactly_invariant_under_relabelling(data):
+    p, q = data.draw(_small_pairs()), data.draw(_small_pairs())
+    base = gh_truncated_pair(p, q, 1e-3)
+    moved = gh_truncated_pair(data.draw(_relabelled(p)), q, 1e-3)
+    assert (moved.lo, moved.hi) == (base.lo, base.hi)
+
+
+@_PROPERTY
+@given(st.data())
+def test_compact_brackets_intersect_under_relabelling(data):
+    p, q = data.draw(_small_pairs()), data.draw(_small_pairs())
+    base = gh_compact_pair(p, q, 1e-3)
+    moved = gh_compact_pair(data.draw(_relabelled(p)), data.draw(_relabelled(q)), 1e-3)
+    assert max(base.lo, moved.lo) <= min(base.hi, moved.hi) + 2 * base.tol
+
+
+@_PROPERTY
+@given(st.data())
+def test_depth_one_tuple_bracket_intersects_pair_bracket(data):
+    p, q = data.draw(_small_pairs(max_points=4)), data.draw(_small_pairs(max_points=4))
+    pair = gh_compact_pair(p, q, 1e-3)
+    tup = gh_compact_tuple(MetricTuple(p.space, (p.a,)), MetricTuple(q.space, (q.a,)), 1e-3)
+    assert max(pair.lo, tup.lo) <= min(pair.hi, tup.hi) + 2 * pair.tol
 
 
 def test_approx_search_identity_and_validation():
