@@ -13,7 +13,7 @@ import numpy as np
 from .errors import EmptyLimit, GlueMismatch, LengthMismatch, ShortcutDetected
 from .gh_solver import gh_compact_pair, gh_truncated_pair
 from .hausdorff import MetricPair
-from .metric_core import FiniteMetricSpace, SubsetRef, same_space
+from .metric_core import FiniteMetricSpace, SubsetRef, _fw_fixpoint, same_space
 
 
 @dataclass(frozen=True)
@@ -98,21 +98,6 @@ def build_chain(pairs, glues, eps_budget):
         ambient=ambient,
         offsets=tuple(offsets),
     )
-
-
-def _fw_fixpoint(mat):
-    d = mat.copy()
-    n = len(d)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n):
-            via = d[:, k][:, None] + d[k, :][None, :]
-            better = via < d
-            if better.any():
-                d[better] = via[better]
-                changed = True
-    return d
 
 
 def limit_proxy(chain):

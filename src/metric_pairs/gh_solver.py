@@ -21,6 +21,12 @@ At fixed caps the condition becomes one tensor of allowed-value bitmasks per
 query, one row per ordered variable pair. A bit-parallel arc-consistency
 fixpoint over that tensor refutes most infeasible caps before any search, and
 backtracking runs only on the components that binding pairs connect.
+
+One forward-checking kernel, ``_backtrack``, serves every map search: cap
+assignments, approximations, rough isometries, isometries and convergence
+checks are each bitmask domains, a table of pairwise-compatible values and a
+check on complete assignments. Only the LP-bounded tuple search keeps its own
+recursion, because its pruning carries per-level state.
 """
 
 import copy
@@ -138,6 +144,73 @@ def _mask_bits(mask):
     return out
 
 
+def _check_size(*spaces):
+    """Bitmask domains live in a single int64, so value spaces stop at 62 points."""
+    if any(len(s) > _MAX_POINTS for s in spaces):
+        raise SizeLimitExceeded(_MAX_POINTS)
+
+
+def _bit_weights(n):
+    return np.left_shift(1, np.arange(n), dtype=np.int64)
+
+
+def _compat_table(dx, dy, bound):
+    """Pairwise compatibility of maps from the points of ``dx`` into those of
+    ``dy``: entry [i, j, p] is the bitmask of values q of point j with
+    |dx[i, j] - dy[p, q]| <= bound, given value p of point i."""
+    ok = np.abs(dx[:, :, None, None] - dy[None, None, :, :]) <= bound
+    return ok.astype(np.int64) @ _bit_weights(len(dy))
+
+
+def _backtrack(todo, doms, rows, tick, lexicographic=True, leaf=None):
+    """Forward-checking backtracking over bitmask domains: an assignment of
+    the variables ``todo`` as {variable: value}, or None.
+
+    ``doms[i]`` is the bitmask of values of variable i, and ``rows[i][j][p]``
+    the bitmask of values of j compatible with value p of i. Assigning a
+    value prunes every unassigned domain, and a wipeout drops the value, so
+    only subtrees holding no compatible assignment are skipped. ``leaf`` may
+    reject a complete assignment. ``tick`` is called once per value tried.
+
+    Lexicographic mode assigns the variables in the order of ``todo`` with
+    values ascending, so the assignment returned is the lexicographically
+    first one that ``leaf`` accepts; otherwise the most constrained variable
+    is assigned first, which refutes far faster and cannot change a verdict.
+    """
+    if any(doms[i] == 0 for i in todo):
+        return None
+    out = {}
+
+    def rec(doms, todo):
+        if not todo:
+            return leaf is None or leaf(out)
+        if lexicographic:
+            level = todo[0]
+        else:
+            level = min(todo, key=lambda i: (doms[i].bit_count(), i))
+        rest = [j for j in todo if j != level]
+        row = rows[level]
+        for p in _mask_bits(doms[level]):
+            tick()
+            nxt = dict(doms)
+            ok = True
+            for j in rest:
+                nd = nxt[j] & row[j][p]
+                if nd == 0:
+                    ok = False
+                    break
+                nxt[j] = nd
+            if ok:
+                out[level] = p
+                if rec(nxt, rest):
+                    return True
+        return False
+
+    if rec({i: doms[i] for i in todo}, todo):
+        return out
+    return None
+
+
 class _VarSystem:
     """Shared machinery for cap-assignment searches over two spaces.
 
@@ -167,8 +240,7 @@ class _VarSystem:
 
     def __init__(self, dl, dr, tol, budget):
         nl, nr = len(dl), len(dr)
-        if nl > _MAX_POINTS or nr > _MAX_POINTS:
-            raise SizeLimitExceeded(_MAX_POINTS)
+        _check_size(dl, dr)
         self.dl, self.dr, self.tol = dl, dr, tol
         self.nl, self.nr = nl, nr
         self.budget = budget
@@ -176,7 +248,7 @@ class _VarSystem:
         self.d_ll = np.abs(dl[:, :, None, None] - dr[None, None, :, :])
         # d_lr[x, y, p, q] = |d_L(x, q) - d_R(p, y)|   (side 0 before side 1)
         self.d_lr = np.abs(dl[:, None, None, :] - dr.T[None, :, :, None])
-        self._bits = np.left_shift(1, np.arange(max(nl, nr)), dtype=np.int64)
+        self._bits = _bit_weights(max(nl, nr))
         self._tensor_cache = {}
         self.vars = []  # (side, src, cls, domain_mask)
         self.meta = []  # (kind, key) labels for witness extraction
@@ -255,6 +327,11 @@ class _VarSystem:
         sel = np.ix_(keep, keep)
         sub._tables(self.pair_min[sel], self.pair_max[sel])
         return sub
+
+    def split_candidates(self):
+        """Every distinct mismatch, halved. Each family tensor is deduplicated
+        on its own, so the transient stays near the size of one of them."""
+        return np.union1d(np.unique(self.d_ll), np.unique(self.d_lr)) / 2.0
 
     def class_floor(self, n_classes):
         """Entrywise lower bound on any assignment's per-class-pair mismatch maxima."""
@@ -360,45 +437,6 @@ class _MaskSearch(_VarSystem):
             comps.append(np.flatnonzero(reach).tolist())
         return comps
 
-    def _solve_component(self, comp, doms, masks, lexicographic):
-        """Assignment for one component, or None; deterministic either way.
-
-        Lexicographic mode fixes the variable order (first-witness semantics);
-        otherwise the most constrained variable is assigned first, which
-        refutes infeasible caps far faster and cannot change the verdict.
-        """
-        tick = self.budget.tick
-        out = {}
-
-        def rec(doms, todo):
-            if not todo:
-                return True
-            if lexicographic:
-                level = todo[0]
-            else:
-                level = min(todo, key=lambda i: (doms[i].bit_count(), i))
-            rest = [j for j in todo if j != level]
-            row = masks[level]
-            for p in _mask_bits(doms[level]):
-                tick()
-                nxt = dict(doms)
-                ok = True
-                for j in rest:
-                    nd = nxt[j] & row[j][p]
-                    if nd == 0:
-                        ok = False
-                        break
-                    nxt[j] = nd
-                if ok:
-                    out[level] = p
-                    if rec(nxt, rest):
-                        return True
-            return False
-
-        if rec({i: doms[i] for i in comp}, comp):
-            return out
-        return None
-
     def _assemble(self, budgets, lexicographic):
         caps = np.asarray(budgets, dtype=float)
         built = self._build_masks(caps[:, None] + caps[None, :] + self.tol)
@@ -411,7 +449,7 @@ class _MaskSearch(_VarSystem):
         masks = rows.tolist()
         out = [None] * self.nvars
         for comp in self._components(theta):
-            got = self._solve_component(comp, doms, masks, lexicographic)
+            got = _backtrack(comp, doms, masks, self.budget.tick, lexicographic)
             if got is None:
                 return None
             for i, p in got.items():
@@ -669,11 +707,12 @@ def _space_key(space):
     return (len(space), space.labels, space.dist.tobytes())
 
 
-def _swap_for_canonical_order(pair_p, pair_q):
+def _swap_for_canonical_order(space_p, chain_p, space_q, chain_q):
     """Definitionally symmetric solvers compute in one canonical argument
-    order and mirror the result, so swapped calls return identical numbers."""
-    key_p = (_space_key(pair_p.space), pair_p.a.indices)
-    key_q = (_space_key(pair_q.space), pair_q.a.indices)
+    order and mirror the result, so swapped calls return identical numbers.
+    A pair passes its subset as a one-level chain."""
+    key_p = (_space_key(space_p), tuple(ref.indices for ref in chain_p))
+    key_q = (_space_key(space_q), tuple(ref.indices for ref in chain_q))
     return key_p > key_q
 
 
@@ -705,7 +744,7 @@ def gh_compact_pair(pair_p, pair_q, resolution, budget=None):
     """
     _check_resolution(resolution, pair_p.space, pair_q.space)
     _check_certificate_slack(resolution, pair_p.space, pair_q.space)
-    if _swap_for_canonical_order(pair_p, pair_q):
+    if _swap_for_canonical_order(pair_p.space, (pair_p.a,), pair_q.space, (pair_q.a,)):
         return _mirror_bracket(gh_compact_pair(pair_q, pair_p, resolution, budget))
     bud = _Budget(_budget_limit(budget))
     left, right = pair_p.space, pair_q.space
@@ -714,7 +753,7 @@ def gh_compact_pair(pair_p, pair_q, resolution, budget=None):
     _pair_vars(system, pair_p, pair_q)
     system.finalize()
 
-    cand = np.unique(np.concatenate([system.d_ll.ravel(), system.d_lr.ravel()])) / 2.0
+    cand = system.split_candidates()
     floor = system.class_floor(2)
     t1_min, t2_min, mixed_min = floor[0, 0] / 2, floor[1, 1] / 2, floor[0, 1]
     lo0 = max(mixed_min, t1_min + t2_min)
@@ -802,9 +841,7 @@ def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
         raise ChainLengthMismatch(f"{tuple_t.depth} vs {tuple_u.depth}")
     _check_resolution(resolution, tuple_t.space, tuple_u.space)
     _check_certificate_slack(resolution, tuple_t.space, tuple_u.space)
-    key_t = (_space_key(tuple_t.space), tuple(ref.indices for ref in tuple_t.chain))
-    key_u = (_space_key(tuple_u.space), tuple(ref.indices for ref in tuple_u.chain))
-    if key_t > key_u:
+    if _swap_for_canonical_order(tuple_t.space, tuple_t.chain, tuple_u.space, tuple_u.chain):
         return _mirror_bracket(gh_compact_tuple(tuple_u, tuple_t, resolution, budget))
     bud = _Budget(_budget_limit(budget))
     left, right = tuple_t.space, tuple_u.space
@@ -861,7 +898,7 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
     the order a system built on the balls alone would give them.
     """
     _check_resolution(resolution, pair_p.space, pair_q.space)
-    if _swap_for_canonical_order(pair_p, pair_q):
+    if _swap_for_canonical_order(pair_p.space, (pair_p.a,), pair_q.space, (pair_q.a,)):
         return _mirror_bracket(gh_truncated_pair(pair_q, pair_p, resolution, budget))
     bud = _Budget(_budget_limit(budget))
     left, right = pair_p.space, pair_q.space
@@ -913,32 +950,25 @@ def _le(value, bound, tol):
 def approx_search(pair_p, pair_q, eps, budget=None):
     """First eps-approximation pair (f, g) in lexicographic order, or None.
 
-    f is enumerated with row-by-row distortion pruning; for each complete f,
-    g is enumerated with distortion, composition, and subset-image pruning.
+    f is searched under distortion and subset-image constraints; each
+    complete f is accepted when a second search finds g under distortion,
+    composition and subset-image constraints.
     """
     if eps <= 0:
         raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
     bud = _Budget(_budget_limit(budget))
     left, right = pair_p.space, pair_q.space
+    _check_size(left, right)
     dl, dr = left.dist, right.dist
     nl, nr = len(left), len(right)
-    if nl > _MAX_POINTS or nr > _MAX_POINTS:
-        raise SizeLimitExceeded(_MAX_POINTS)
     tol = max(left.tol, right.tol)
     a_idx, b_idx = pair_p.a.indices, pair_q.a.indices
     d_to_b = dr[:, b_idx].min(axis=1)
     d_to_a = dl[:, a_idx].min(axis=1)
-    full_r = (1 << nr) - 1
+    f_rows = _compat_table(dl, dr, eps + tol).tolist()
+    g_rows = _compat_table(dr, dl, eps + tol).tolist()
 
-    # distortion masks: f_pair[x1, x2, y1] = allowed-y2 bitmask
-    ok_ll = np.abs(dl[:, :, None, None] - dr[None, None, :, :]) <= eps + tol
-    weights_r = np.array([1 << q for q in range(nr)], dtype=np.int64)
-    weights_l = np.array([1 << q for q in range(nl)], dtype=np.int64)
-    f_pair = ok_ll.astype(np.int64) @ weights_r
-    ok_rr = np.abs(dr[:, :, None, None] - dl[None, None, :, :]) <= eps + tol
-    g_pair = ok_rr.astype(np.int64) @ weights_l
-
-    f_unary = [full_r] * nl
+    f_unary = [(1 << nr) - 1] * nl
     for a in a_idx:  # d(f(a), B) must stay below eps
         mask = 0
         for y in range(nr):
@@ -946,11 +976,18 @@ def approx_search(pair_p, pair_q, eps, budget=None):
                 mask |= 1 << y
         f_unary[a] = mask
 
-    def search_g(f_vals):
+    def subset_image_g(g):
+        img_g = sorted(set(g[b] for b in b_idx))
+        return _le(float(dl[np.ix_(a_idx, img_g)].min(axis=1).max()), eps, tol)
+
+    found = []
+
+    def g_exists(f):
         # image of A must come eps-close to every point of B
-        img = sorted(set(f_vals[a] for a in a_idx))
+        img = sorted(set(f[a] for a in a_idx))
         if not _le(float(dr[np.ix_(b_idx, img)].min(axis=1).max()), eps, tol):
-            return None
+            return False
+        f_vals = [f[x] for x in range(nl)]
         pre = [[] for _ in range(nr)]
         for x, y in enumerate(f_vals):
             pre[y].append(x)
@@ -966,51 +1003,15 @@ def approx_search(pair_p, pair_q, eps, budget=None):
                 ):
                     mask |= 1 << q
             unary.append(mask)
-
-        g_vals = [None] * nr
-
-        def rec(y):
-            if y == nr:
-                img_g = sorted(set(g_vals[b] for b in b_idx))
-                return _le(float(dl[np.ix_(a_idx, img_g)].min(axis=1).max()), eps, tol)
-            dom = unary[y]
-            for j in range(y):
-                dom &= int(g_pair[y, j, g_vals[j]])
-                if dom == 0:
-                    return False
-            for q in _mask_bits(dom):
-                bud.tick()
-                g_vals[y] = q
-                if rec(y + 1):
-                    return True
-            g_vals[y] = None
+        g = _backtrack(list(range(nr)), unary, g_rows, bud.tick, leaf=subset_image_g)
+        if g is None:
             return False
+        found.append(ApproximationPair(f=tuple(f_vals), g=tuple(g[y] for y in range(nr)), eps=float(eps)))
+        return True
 
-        return tuple(g_vals) if rec(0) else None
-
-    f_vals = [None] * nl
-
-    def rec_f(x):
-        if x == nl:
-            return search_g(f_vals)
-        dom = f_unary[x]
-        for j in range(x):
-            dom &= int(f_pair[x, j, f_vals[j]])
-            if dom == 0:
-                return None
-        for p in _mask_bits(dom):
-            bud.tick()
-            f_vals[x] = p
-            g = rec_f(x + 1)
-            if g is not None:
-                return g
-        f_vals[x] = None
+    if _backtrack(list(range(nl)), f_unary, f_rows, bud.tick, leaf=g_exists) is None:
         return None
-
-    g = rec_f(0)
-    if g is None:
-        return None
-    return ApproximationPair(f=tuple(f_vals), g=g, eps=float(eps))
+    return found[0]
 
 
 def validate_approximation(pair_p, pair_q, ap):
@@ -1118,6 +1119,7 @@ def rough_isometry_search(pair_p, pair_q, radius, eps, budget=None):
         raise PreconditionViolated("requires R > eps > 0", (radius, eps))
     bud = _Budget(_budget_limit(budget))
     left, right = pair_p.space, pair_q.space
+    _check_size(right)
     dl, dr = left.dist, right.dist
     tol = max(left.tol, right.tol)
     dom = ball(left, pair_p.a, radius, "closed").indices
@@ -1128,73 +1130,43 @@ def rough_isometry_search(pair_p, pair_q, radius, eps, budget=None):
     b_idx = pair_q.a.indices
     d_to_b = dr[:, b_idx].min(axis=1)
     a_set = set(pair_p.a.indices)
-    doms = []
-    for u in dom:
-        allowed = [y for y in tgt if (u not in a_set) or _le(d_to_b[y], eps, tol)]
-        if not allowed:
-            return None
-        doms.append(allowed)
-    vals = [None] * len(dom)
+    in_tgt = sum(1 << y for y in tgt)
+    near_b = sum(1 << y for y in tgt if _le(d_to_b[y], eps, tol))
+    doms = [near_b if u in a_set else in_tgt for u in dom]
 
-    def rec(k):
-        if k == len(dom):
-            img = sorted(set(vals))
-            if not _le(float(dr[np.ix_(b_idx, img)].min(axis=1).max()), eps, tol):
-                return False
-            cover = float(dr[np.ix_(tgt, img)].min(axis=1).max())
-            return _le(cover, eps, tol)
-        u = dom[k]
-        for y in doms[k]:
-            bud.tick()
-            if all(
-                _le(abs(float(dl[u, dom[j]]) - float(dr[y, vals[j]])), eps, tol)
-                for j in range(k)
-            ):
-                vals[k] = y
-                if rec(k + 1):
-                    return True
-        vals[k] = None
-        return False
+    def images_cover(f):
+        img = sorted(set(f.values()))
+        if not _le(float(dr[np.ix_(b_idx, img)].min(axis=1).max()), eps, tol):
+            return False
+        cover = float(dr[np.ix_(tgt, img)].min(axis=1).max())
+        return _le(cover, eps, tol)
 
-    if not rec(0):
+    rows = _compat_table(dl[np.ix_(dom, dom)], dr, eps + tol).tolist()
+    f = _backtrack(list(range(len(dom))), doms, rows, bud.tick, leaf=images_cover)
+    if f is None:
         return None
     return RoughIsometryWitness(
-        f={int(u): int(v) for u, v in zip(dom, vals)}, eps=float(eps), radius=float(radius)
+        f={int(u): f[k] for k, u in enumerate(dom)}, eps=float(eps), radius=float(radius)
     )
 
 
 def pair_isometry_search(pair_p, pair_q):
-    """Distance-preserving bijection carrying A onto B, or None."""
+    """First distance-preserving bijection carrying A onto B, or None."""
     left, right = pair_p.space, pair_q.space
     if len(left) != len(right) or len(pair_p.a) != len(pair_q.a):
         return None
-    dl, dr = left.dist, right.dist
+    _check_size(right)
     tol = max(left.tol, right.tol)
     n = len(left)
     a_set = set(pair_p.a.indices)
-    b_set = set(pair_q.a.indices)
-    perm = [None] * n
-    used = [False] * n
-
-    def rec(x):
-        if x == n:
-            return True
-        targets = pair_q.a.indices if x in a_set else [y for y in range(n) if y not in b_set]
-        for y in targets:
-            if used[y]:
-                continue
-            if all(abs(float(dl[x, j]) - float(dr[y, perm[j]])) <= tol for j in range(x)):
-                used[y] = True
-                perm[x] = y
-                if rec(x + 1):
-                    return True
-                used[y] = False
-        perm[x] = None
-        return False
-
-    if rec(0):
-        return tuple(perm)
-    return None
+    in_b = sum(1 << y for y in pair_q.a.indices)
+    doms = [in_b if x in a_set else ((1 << n) - 1) ^ in_b for x in range(n)]
+    # clearing bit p from every row at value p makes the map injective
+    rows = (_compat_table(left.dist, right.dist, tol) & ~_bit_weights(n)).tolist()
+    perm = _backtrack(list(range(n)), doms, rows, tick=lambda: None)
+    if perm is None:
+        return None
+    return tuple(perm[x] for x in range(n))
 
 
 def verify_convergence(seq, target, sched, resolution=1e-3, budget=None):
@@ -1207,6 +1179,7 @@ def verify_convergence(seq, target, sched, resolution=1e-3, budget=None):
     """
     if len(seq) != len(sched.eps_seq):
         raise LengthMismatch(f"{len(seq)} pairs vs {len(sched.eps_seq)} schedule entries")
+    _check_size(target.space)
     bud = _Budget(_budget_limit(budget))
     reports = []
     for pair_i, eps_i, r_i in zip(seq, sched.eps_seq, sched.radius_seq):
@@ -1218,35 +1191,23 @@ def verify_convergence(seq, target, sched, resolution=1e-3, budget=None):
         tgt = tgt_ball.indices if tgt_ball is not None else ()
         a_loc = [dom.index(a) for a in pair_i.a.indices]
         b_idx = target.a.indices
+        d_dom = dl[np.ix_(dom, dom)]
+        doms = [(1 << len(right)) - 1] * len(dom)
 
         def feasible(eps):
-            vals = [None] * len(dom)
+            def images_cover(f):
+                img_a = sorted(set(f[i] for i in a_loc))
+                if not _le(hausdorff_of_matrix(dr, tuple(img_a), b_idx), eps, tol):
+                    return False
+                img = sorted(set(f.values()))
+                if tgt and not _le(
+                    float(dr[np.ix_(tgt, img)].min(axis=1).max()), eps, tol
+                ):
+                    return False
+                return True
 
-            def rec(k):
-                if k == len(dom):
-                    img_a = sorted(set(vals[i] for i in a_loc))
-                    if not _le(hausdorff_of_matrix(dr, tuple(img_a), b_idx), eps, tol):
-                        return False
-                    img = sorted(set(vals))
-                    if tgt and not _le(
-                        float(dr[np.ix_(tgt, img)].min(axis=1).max()), eps, tol
-                    ):
-                        return False
-                    return True
-                u = dom[k]
-                for y in range(len(right)):
-                    bud.tick()
-                    if all(
-                        _le(abs(float(dl[u, dom[j]]) - float(dr[y, vals[j]])), eps, tol)
-                        for j in range(k)
-                    ):
-                        vals[k] = y
-                        if rec(k + 1):
-                            return True
-                vals[k] = None
-                return False
-
-            return rec(0)
+            rows = _compat_table(d_dom, dr, eps + tol).tolist()
+            return _backtrack(list(range(len(dom))), doms, rows, bud.tick, leaf=images_cover) is not None
 
         passed = feasible(eps_i)
         e_lo, e_hi = 0.0, eps_i if passed else max(left.diameter, right.diameter, eps_i)

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .hausdorff import hausdorff_of_matrix
-from .metric_core import ball, check_subset, subset_distances
+from .metric_core import _fw_fixpoint, ball, check_subset, subset_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,21 +135,6 @@ def glue_from_constraints(left, right, edges, pseudo=False):
         i, j = map(int, np.argwhere(shortcut_r)[0])
         raise GluingInfeasible(("right", i, j))
     return CrossMetric(left, right, closed[:nl, nl:].copy(), pseudo)
-
-
-def _fw_fixpoint(mat):
-    d = mat.copy()
-    n = len(d)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n):
-            via = d[:, k][:, None] + d[k, :][None, :]
-            better = via < d
-            if better.any():
-                d[better] = via[better]
-                changed = True
-    return d
 
 
 def glue_from_approximation(left, right, f, eps):

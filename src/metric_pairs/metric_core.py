@@ -195,18 +195,16 @@ def diam(space, ref):
     return float(sub.max())
 
 
-def shortest_path_closure(graph):
-    """All-pairs shortest-path metric of a connected weighted graph.
+def _fw_fixpoint(mat):
+    """Shortest-path closure of a weighted adjacency matrix (inf: no edge).
 
-    Floyd-Warshall iterated to a fixed point, so the returned matrix passes
-    validate_metric with tolerance zero.
+    Floyd-Warshall passes repeat until one changes nothing. At that fixpoint
+    no entry exceeds a two-step path in floating point, which is the
+    triangle check validate_metric runs, so the result passes it with
+    tolerance zero.
     """
-    n = graph.n
-    d = np.full((n, n), np.inf)
-    np.fill_diagonal(d, 0.0)
-    for i, j, w in graph.edges:
-        d[i, j] = min(d[i, j], float(w))
-        d[j, i] = d[i, j]
+    d = mat.copy()
+    n = len(d)
     changed = True
     while changed:
         changed = False
@@ -216,6 +214,18 @@ def shortest_path_closure(graph):
             if better.any():
                 d[better] = via[better]
                 changed = True
+    return d
+
+
+def shortest_path_closure(graph):
+    """All-pairs shortest-path metric of a connected weighted graph."""
+    n = graph.n
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for i, j, w in graph.edges:
+        d[i, j] = min(d[i, j], float(w))
+        d[j, i] = d[i, j]
+    d = _fw_fixpoint(d)
     if not np.isfinite(d).all():
         i, j = map(int, np.argwhere(~np.isfinite(d))[0])
         raise DisconnectedGraph(f"no path between vertices {i} and {j}")

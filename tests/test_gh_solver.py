@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metric_pairs import (
+    ApproximationPair,
     ConvergenceSchedule,
     DistanceBracket,
     InvalidBracket,
@@ -416,6 +418,21 @@ def test_finalize_allocates_no_second_family_tensor():
     assert peak < system.d_ll.nbytes, (peak, system.d_ll.nbytes)
 
 
+def test_split_candidates_transient_stays_below_two_family_tensors():
+    rng = np.random.default_rng(53)
+    left, right = random_space(rng, 24), random_space(rng, 24)
+    system = _MaskSearch(left.dist, right.dist, max(left.tol, right.tol), _Budget(10**6))
+    tracemalloc.start()
+    try:
+        cand = system.split_candidates()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * system.d_ll.nbytes, (peak, system.d_ll.nbytes)
+    halves = np.unique(np.concatenate([system.d_ll.ravel(), system.d_lr.ravel()])) / 2.0
+    assert np.array_equal(cand, halves)
+
+
 @st.composite
 def _small_pairs(draw, max_points=5):
     """A pair on at most ``max_points`` points with small integer weights, so ties are common."""
@@ -717,3 +734,156 @@ def test_schedule_validation():
         ConvergenceSchedule(eps_seq=(0.1, 0.2), radius_seq=(1.0, 2.0))
     with pytest.raises(PreconditionViolated):
         ConvergenceSchedule(eps_seq=(0.2, 0.1), radius_seq=(2.0, 1.0))
+
+
+# Lexicographic-first witnesses against plain enumeration. Integer weights
+# make ties, and so several witnesses per instance, common.
+
+
+def _integer_pair(rng, n):
+    w = rng.integers(1, 4, size=(n, n)).astype(float)
+    space = validate_metric(closure_of((w + w.T) / 2.0))
+    return _pair(space, random_subset(rng, n))
+
+
+def _maps(values, k):
+    """Every map of k points into ``values``, one per row, in lexicographic order."""
+    return np.array(list(itertools.product(values, repeat=k)), dtype=int).reshape(-1, k)
+
+
+def _distortion_ok(d_dom, dr, maps, bound):
+    return np.abs(d_dom[None] - dr[maps[:, :, None], maps[:, None, :]]).max(axis=(1, 2)) <= bound
+
+
+def _gap(dr, points, images):
+    """Per map: the largest distance from one of ``points`` to the map's images."""
+    return dr[np.asarray(points)[None, :, None], images[:, None, :]].min(axis=2).max(axis=1)
+
+
+def _ball(pair, r):
+    return oracles.ball_min_over_members(pair.space.dist, pair.a.indices, r + pair.space.tol, "closed")
+
+
+def _first_approximation(p, q, eps):
+    for f in itertools.product(range(len(q.space)), repeat=len(p.space)):
+        for g in itertools.product(range(len(p.space)), repeat=len(q.space)):
+            ap = ApproximationPair(f=f, g=g, eps=float(eps))
+            if not validate_approximation(p, q, ap):
+                return ap
+    return None
+
+
+def test_approx_search_returns_lexicographically_first_valid_pair():
+    rng = np.random.default_rng(61)
+    found = 0
+    for _ in range(6):
+        p, q = _integer_pair(rng, int(rng.integers(2, 4))), _integer_pair(rng, int(rng.integers(2, 4)))
+        for eps in (0.5, 1.0, 1.5, 2.5):
+            want = _first_approximation(p, q, eps)
+            assert approx_search(p, q, eps) == want, (p.a, q.a, eps)
+            found += want is not None
+    assert 0 < found < 24
+
+
+def _rough_isometries(p, q, radius, eps):
+    """Every map of the R-ball of A into the (R - eps)-ball of B that is an
+    eps-rough isometry, by the definition, in lexicographic order."""
+    dl, dr = p.space.dist, q.space.dist
+    bound = eps + max(p.space.tol, q.space.tol)
+    dom, tgt = _ball(p, radius), _ball(q, radius - eps)
+    maps = _maps(tgt, len(dom))
+    near_b = dr[:, list(q.a.indices)].min(axis=1) <= bound
+    ok = _distortion_ok(dl[np.ix_(dom, dom)], dr, maps, bound)
+    ok &= near_b[maps[:, [dom.index(a) for a in p.a.indices]]].all(axis=1)  # f(A) near B
+    ok &= _gap(dr, q.a.indices, maps) <= bound  # B near the image
+    ok &= _gap(dr, tgt, maps) <= bound  # the image covers the target ball
+    return [dict(zip(dom, (int(v) for v in row))) for row in maps[ok]]
+
+
+def test_rough_isometry_search_returns_lexicographically_first_map():
+    rng = np.random.default_rng(62)
+    counts = []
+    for _ in range(8):
+        p, q = _integer_pair(rng, int(rng.integers(2, 6))), _integer_pair(rng, int(rng.integers(2, 6)))
+        for radius, eps in ((1.5, 0.5), (3.0, 1.0), (4.0, 1.5)):
+            want = _rough_isometries(p, q, radius, eps)
+            got = rough_isometry_search(p, q, radius, eps)
+            assert (got.f if got is not None else None) == (want[0] if want else None), (p.a, q.a, radius, eps)
+            counts.append(len(want))
+    assert 0 in counts and max(counts) > 1
+
+
+def _pair_isometries(p, q):
+    """Every distance-preserving bijection carrying A onto B, in lexicographic order."""
+    n = len(p.space)
+    if len(q.space) != n or len(p.a) != len(q.a):
+        return []
+    maps = _maps(range(n), n)
+    tol = max(p.space.tol, q.space.tol)
+    ok = (np.sort(maps, axis=1) == np.arange(n)).all(axis=1)
+    ok &= _distortion_ok(p.space.dist, q.space.dist, maps, tol)
+    ok &= (np.sort(maps[:, list(p.a.indices)], axis=1) == np.asarray(q.a.indices)).all(axis=1)
+    return [tuple(int(v) for v in row) for row in maps[ok]]
+
+
+def test_pair_isometry_search_returns_lexicographically_first_isometry():
+    rng = np.random.default_rng(63)
+    cycle = validate_metric(np.array([[min(abs(i - j), 5 - abs(i - j)) for j in range(5)] for i in range(5)], float))
+    pairs = [_pair(cycle, [0]), _pair(cycle, [1, 3])]
+    for _ in range(6):
+        pairs.append(_integer_pair(rng, int(rng.integers(2, 6))))
+    counts = []
+    for p in pairs:
+        order = [int(x) for x in rng.permutation(len(p.space))]
+        moved = validate_metric(p.space.dist[np.ix_(order, order)])
+        for q in (p, _pair(moved, sorted(order.index(a) for a in p.a.indices)), pairs[-1]):
+            want = _pair_isometries(p, q)
+            assert pair_isometry_search(p, q) == (want[0] if want else None), (p.a, q.a)
+            counts.append(len(want))
+    assert 0 in counts and max(counts) > 1
+
+
+def _convergence_passes(p, target, eps, radius):
+    """Some map of the radius-ball of A into the target space with distortion
+    within eps, d_H(f(A), B) within eps, and the target's radius-ball covered."""
+    dl, dr = p.space.dist, target.space.dist
+    bound = eps + max(p.space.tol, target.space.tol)
+    dom, tgt = _ball(p, radius), _ball(target, radius)
+    maps = _maps(range(len(dr)), len(dom))
+    img_a = maps[:, [dom.index(a) for a in p.a.indices]]
+    b_idx = list(target.a.indices)
+    ok = _distortion_ok(dl[np.ix_(dom, dom)], dr, maps, bound)
+    ok &= _gap(dr, b_idx, img_a) <= bound
+    ok &= dr[img_a][:, :, b_idx].min(axis=2).max(axis=1) <= bound
+    ok &= _gap(dr, tgt, maps) <= bound
+    return bool(ok.any())
+
+
+def test_verify_convergence_verdicts_match_enumeration():
+    rng = np.random.default_rng(64)
+    sched = ConvergenceSchedule(eps_seq=(1.0, 0.6, 0.3), radius_seq=(1.0, 2.0, 4.0))
+    verdicts = []
+    for _ in range(4):
+        target = random_pair(rng, n_lo=3, n_hi=4, hi=3.0)
+        near = MetricPair(jittered_copy(target.space, rng, 0.8), target.a)
+        seq = [near, random_pair(rng, n_lo=1, n_hi=5, hi=3.0), target]
+        report = verify_convergence(seq, target, sched, resolution=0.05)
+        for pair, eps, radius, got in zip(seq, sched.eps_seq, sched.radius_seq, report["indices"]):
+            want = _convergence_passes(pair, target, eps, radius)
+            assert got["passed"] == want, (pair.a, eps, radius)
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+def test_map_searches_refuse_value_spaces_beyond_the_bitmask_cap():
+    small = _pair(line_space([0.0, 1.0]), [0])
+    big = _pair(line_space(np.arange(63.0)), [0])
+    with pytest.raises(SizeLimitExceeded):
+        rough_isometry_search(small, big, 2.0, 0.5)
+    with pytest.raises(SizeLimitExceeded):
+        pair_isometry_search(big, big)
+    with pytest.raises(SizeLimitExceeded):
+        verify_convergence([small], big, ConvergenceSchedule(eps_seq=(0.5,), radius_seq=(2.0,)))
+    # at the cap, the highest bit still carries a value
+    top = _pair(line_space(np.arange(62.0)), [61])
+    assert rough_isometry_search(small, top, 2.0, 0.5).f == {0: 61, 1: 60}
