@@ -86,9 +86,12 @@ class InvalidBracket(MetricPairsError):
 
 
 class SizeLimitExceeded(MetricPairsError):
-    def __init__(self, limit):
+    """A search ran out of its assignment budget, or a searched space has more
+    points than the bitmask cap; ``limit`` is the budget or the cap."""
+
+    def __init__(self, limit, message=None):
         self.limit = limit
-        super().__init__(f"search exceeded the assignment budget of {limit}")
+        super().__init__(message or f"search exceeded the assignment budget of {limit}")
 
 
 class PreconditionViolated(MetricPairsError):

@@ -25,13 +25,14 @@ backtracking runs only on the components that binding pairs connect.
 One forward-checking kernel, ``_backtrack``, serves every map search: cap
 assignments, approximations, rough isometries, isometries and convergence
 checks are each bitmask domains, a table of pairwise-compatible values and a
-check on complete assignments. Only the LP-bounded tuple search keeps its own
-recursion, because its pruning carries per-level state.
+check on complete assignments. The compact pair and tuple distances add a
+per-node hook: it carries the running per-class mismatch maxima down the
+search and prunes once their LP-minimal cap total exceeds the bisected total.
 """
 
 import copy
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .gluing import check_eps_admissible, glue_from_constraints
-from .hausdorff import hausdorff_of_matrix, pair_hausdorff, tuple_hausdorff
+from .hausdorff import MetricTuple, hausdorff_of_matrix, tuple_hausdorff
 from .metric_core import ball
 
 DEFAULT_ASSIGNMENT_BUDGET = 10_000_000
@@ -147,7 +148,7 @@ def _mask_bits(mask):
 def _check_size(*spaces):
     """Bitmask domains live in a single int64, so value spaces stop at 62 points."""
     if any(len(s) > _MAX_POINTS for s in spaces):
-        raise SizeLimitExceeded(_MAX_POINTS)
+        raise SizeLimitExceeded(_MAX_POINTS, f"a searched space may hold at most {_MAX_POINTS} points (bitmask cap)")
 
 
 def _bit_weights(n):
@@ -162,7 +163,7 @@ def _compat_table(dx, dy, bound):
     return ok.astype(np.int64) @ _bit_weights(len(dy))
 
 
-def _backtrack(todo, doms, rows, tick, lexicographic=True, leaf=None):
+def _backtrack(todo, doms, rows, tick, lexicographic=True, leaf=None, hook=None, state=None):
     """Forward-checking backtracking over bitmask domains: an assignment of
     the variables ``todo`` as {variable: value}, or None.
 
@@ -171,6 +172,11 @@ def _backtrack(todo, doms, rows, tick, lexicographic=True, leaf=None):
     value prunes every unassigned domain, and a wipeout drops the value, so
     only subtrees holding no compatible assignment are skipped. ``leaf`` may
     reject a complete assignment. ``tick`` is called once per value tried.
+
+    ``hook(state, i, p, out)`` may carry a state down the search: given the
+    state of the partial assignment ``out``, it returns the state once
+    variable i takes value p, or None to drop that value. ``state`` belongs
+    to the empty assignment.
 
     Lexicographic mode assigns the variables in the order of ``todo`` with
     values ascending, so the assignment returned is the lexicographically
@@ -181,38 +187,42 @@ def _backtrack(todo, doms, rows, tick, lexicographic=True, leaf=None):
         return None
     out = {}
 
-    def rec(doms, todo):
+    def rec(doms, todo, state):
         if not todo:
             return leaf is None or leaf(out)
         if lexicographic:
             level = todo[0]
         else:
-            level = min(todo, key=lambda i: (doms[i].bit_count(), i))
+            level = min(todo, key=lambda i: doms[i].bit_count())  # ties: earliest in todo
         rest = [j for j in todo if j != level]
         row = rows[level]
         for p in _mask_bits(doms[level]):
             tick()
-            nxt = dict(doms)
-            ok = True
+            nxt = {}
             for j in rest:
-                nd = nxt[j] & row[j][p]
+                nd = doms[j] & row[j][p]
                 if nd == 0:
-                    ok = False
                     break
                 nxt[j] = nd
-            if ok:
+            else:  # no domain wiped out
+                child = state
+                if hook is not None:
+                    child = hook(state, level, p, out)
+                    if child is None:
+                        continue
                 out[level] = p
-                if rec(nxt, rest):
+                if rec(nxt, rest, child):
                     return True
+                del out[level]  # ``out`` holds exactly the current path
         return False
 
-    if rec({i: doms[i] for i in todo}, todo):
+    if rec({i: doms[i] for i in todo}, todo, state):
         return out
     return None
 
 
-class _VarSystem:
-    """Shared machinery for cap-assignment searches over two spaces.
+class _MaskSearch:
+    """Cap-assignment searches over two spaces, with bitmask forward checking.
 
     Each variable assigns a partner across the gluing: side 0 variables map a
     left point to a right point, side 1 the reverse. ``cls`` indexes the cap
@@ -233,6 +243,16 @@ class _VarSystem:
       (V, V, n) row tensor of allowed-value bitmasks, gathered from packed
       threshold tensors over the union of both spaces' points. Those do not
       depend on the variables, so ``subsystem`` shares their cache.
+
+    Every query first prunes all domains to the greatest arc-consistent ones
+    with a bit-parallel fixpoint over the row tensor. A query at fixed caps
+    uses the thresholds caps_i + caps_j + tol and searches the variables
+    linked by no binding pair as separate components: ``feasible`` assigns
+    the most constrained variable first (much faster at refuting, and the
+    verdict cannot depend on order), and ``first_witness`` explores variables
+    in their fixed order with values ascending, so the assignment it returns
+    is the lexicographically first one. ``decide`` bounds the total of the
+    caps instead of each cap.
     """
 
     _TENSOR_KEEP = 16  # thresholds whose packed tensors stay cached
@@ -242,6 +262,7 @@ class _VarSystem:
         nl, nr = len(dl), len(dr)
         _check_size(dl, dr)
         self.dl, self.dr, self.tol = dl, dr, tol
+        self._dl_rows, self._dr_rows = dl.tolist(), dr.tolist()
         self.nl, self.nr = nl, nr
         self.budget = budget
         # d_ll[x1, x2, y1, y2] = |d_L(x1, x2) - d_R(y1, y2)|   (two side-0 vars)
@@ -264,17 +285,19 @@ class _VarSystem:
         v = len(self.vars)
         low, high = np.zeros((v, v)), np.zeros((v, v))
         for rows, cols, block in self._group_blocks():
-            lo, hi = block.min(axis=(2, 3)), block.max(axis=(2, 3))
-            low[np.ix_(rows, cols)], low[np.ix_(cols, rows)] = lo, lo.T
-            high[np.ix_(rows, cols)], high[np.ix_(cols, rows)] = hi, hi.T
+            ix, lo, hi = np.ix_(rows, cols), block.min(axis=(2, 3)), block.max(axis=(2, 3))
+            low[ix], low.T[ix], high[ix], high.T[ix] = lo, lo, hi, hi  # .T: the other order
         np.fill_diagonal(high, 0.0)
         self.domlists = [_mask_bits(m) for (_, _, _, m) in self.vars]
-        self.pos_of = [{p: k for k, p in enumerate(dom)} for dom in self.domlists]
         side = np.array([s for (s, _, _, _) in self.vars], dtype=np.intp)
         src = np.array([x for (_, x, _, _) in self.vars], dtype=np.intp)
         self._cls = np.array([c for (_, _, c, _) in self.vars], dtype=np.intp)
         self._point = src + side * self.nl  # source point in the union of both spaces
         self._full = np.array([m for (_, _, _, m) in self.vars], dtype=np.int64)
+        # the left and the right point of each variable's edge, per value
+        values = np.arange(len(self._bits))
+        self._left_at = np.where(side[:, None] == 0, src[:, None], values).tolist()
+        self._right_at = np.where(side[:, None] == 0, values, src[:, None]).tolist()
         self._tables(np.triu(low, 1), high)
 
     def _tables(self, pair_min, pair_max):
@@ -322,16 +345,12 @@ class _VarSystem:
         family tensors, the packed-tensor cache and the budget."""
         sub = copy.copy(self)
         sub.vars, sub.meta = [self.vars[k] for k in keep], [self.meta[k] for k in keep]
-        sub.domlists, sub.pos_of = [self.domlists[k] for k in keep], [self.pos_of[k] for k in keep]
+        sub.domlists = [self.domlists[k] for k in keep]
         sub._cls, sub._point, sub._full = self._cls[keep], self._point[keep], self._full[keep]
+        sub._left_at, sub._right_at = [self._left_at[k] for k in keep], [self._right_at[k] for k in keep]
         sel = np.ix_(keep, keep)
         sub._tables(self.pair_min[sel], self.pair_max[sel])
         return sub
-
-    def split_candidates(self):
-        """Every distinct mismatch, halved. Each family tensor is deduplicated
-        on its own, so the transient stays near the size of one of them."""
-        return np.union1d(np.unique(self.d_ll), np.unique(self.d_lr)) / 2.0
 
     def class_floor(self, n_classes):
         """Entrywise lower bound on any assignment's per-class-pair mismatch maxima."""
@@ -349,14 +368,15 @@ class _VarSystem:
         packed = cache.get(theta)
         if packed is None:
             nl, nr = self.nl, self.nr
-            ok_ll = (self.d_ll <= theta).astype(np.int64)
-            ok_lr = (self.d_lr <= theta).astype(np.int64)
             w_l, w_r = self._bits[:nl], self._bits[:nr]
             packed = np.zeros((nl + nr, nl + nr, len(self._bits)), dtype=np.int64)
-            packed[:nl, :nl, :nr] = ok_ll @ w_r
-            packed[nl:, nl:, :nl] = ok_ll.transpose(2, 3, 0, 1) @ w_l
-            packed[:nl, nl:, :nr] = ok_lr @ w_l
-            packed[nl:, :nl, :nl] = ok_lr.transpose(1, 0, 3, 2) @ w_r
+            ok = (self.d_ll <= theta).astype(np.int64)
+            packed[:nl, :nl, :nr] = ok @ w_r
+            packed[nl:, nl:, :nl] = ok.transpose(2, 3, 0, 1) @ w_l
+            del ok  # one int64 copy of a family tensor at a time
+            ok = (self.d_lr <= theta).astype(np.int64)
+            packed[:nl, nl:, :nr] = ok @ w_l
+            packed[nl:, :nl, :nl] = ok.transpose(1, 0, 3, 2) @ w_r
             if len(cache) >= self._TENSOR_KEEP:
                 del cache[next(iter(cache))]
             cache[theta] = packed
@@ -377,23 +397,6 @@ class _VarSystem:
         rows = stack[ci * len(theta) + cj, self._point[:, None], self._point[None, :]]
         return rows, theta[ci, cj]
 
-
-class _MaskSearch(_VarSystem):
-    """Assignment search at fixed caps, with bitmask forward checking.
-
-    A query at caps passes the thresholds caps_i + caps_j + tol to the shared
-    mask builder. A bit-parallel fixpoint over the row tensor then prunes
-    every domain to the greatest arc-consistent ones before any search
-    starts, and variables linked by no binding pair are searched as separate
-    components.
-
-    ``feasible`` returns some satisfying assignment using deterministic
-    most-constrained-first variable selection (much faster at refuting, and
-    the verdict cannot depend on order); ``first_witness`` explores variables
-    in their fixed order with values ascending, so the assignment it returns
-    is the lexicographically first one.
-    """
-
     def _arc_consistent(self, rows):
         """Greatest arc-consistent domains, or None on a wipeout.
 
@@ -412,6 +415,16 @@ class _MaskSearch(_VarSystem):
             if (new == doms).all():
                 return new.tolist()
             doms = new
+
+    def _pruned(self, theta):
+        """Masks and arc-consistent domains at a per-class-pair threshold
+        matrix, as ((rows, pair thresholds), domains); None when refuted
+        before any search."""
+        built = self._build_masks(theta)
+        if built is None:
+            return None
+        doms = self._arc_consistent(built[0])
+        return None if doms is None else (built, doms)
 
     def _components(self, theta):
         """Variables linked by a binding pair; saturated pairs decouple.
@@ -439,13 +452,10 @@ class _MaskSearch(_VarSystem):
 
     def _assemble(self, budgets, lexicographic):
         caps = np.asarray(budgets, dtype=float)
-        built = self._build_masks(caps[:, None] + caps[None, :] + self.tol)
-        if built is None:
-            return None
-        rows, theta = built
-        doms = self._arc_consistent(rows)
-        if doms is None:
+        pruned = self._pruned(caps[:, None] + caps[None, :] + self.tol)
+        if pruned is None:
             return None  # refuted before any component is searched
+        (rows, theta), doms = pruned
         masks = rows.tolist()
         out = [None] * self.nvars
         for comp in self._components(theta):
@@ -464,28 +474,54 @@ class _MaskSearch(_VarSystem):
         """The lexicographically first satisfying assignment, or None."""
         return self._assemble(budgets, lexicographic=True)
 
-    def pair_delta(self, i, vi, j, vj):
-        si, srci = self.vars[i][0], self.vars[i][1]
-        sj, srcj = self.vars[j][0], self.vars[j][1]
-        if si == 0 and sj == 0:
-            return float(self.d_ll[srci, srcj, vi, vj])
-        if si == 1 and sj == 1:
-            return float(self.d_ll[vi, vj, srci, srcj])
-        if si == 0 and sj == 1:
-            return float(self.d_lr[srci, srcj, vi, vj])
-        return float(self.d_lr[srcj, srci, vj, vi])
+    def decide(self, total, floor):
+        """Some assignment whose caps can total at most ``total`` + tol, as
+        (values, maxima), or None. ``maxima`` are the assignment's per-class-pair
+        mismatch maxima; their ``_lp_min_total`` is its exact cost. ``floor``
+        is ``class_floor`` as nested lists.
 
-    def class_maxima(self, values, n_classes):
-        """Exact per-class-pair mismatch maxima of one full assignment."""
-        m = [[0.0] * n_classes for _ in range(n_classes)]
-        cls = [c for (_, _, c, _) in self.vars]
-        for i in range(self.nvars):
-            for j in range(i + 1, self.nvars):
-                d = self.pair_delta(i, values[i], j, values[j])
-                a, b = cls[i], cls[j]
-                if d > m[a][b]:
-                    m[a][b] = m[b][a] = d
-        return m
+        Such an assignment mismatches by at most 2 * total within a class and
+        by at most total across classes, so masks at those thresholds and
+        their arc-consistent domains lose none of them. The cost couples the
+        classes, so all variables form one most-constrained-first search with
+        no component split. Its hook carries the running maxima down and
+        drops a value once they grow past the total.
+        """
+        theta = np.where(np.eye(len(floor), dtype=bool), 2 * total, total) + self.tol
+        pruned = self._pruned(theta)
+        if pruned is None:
+            return None
+        (rows, _), doms = pruned
+        bound = total + self.tol
+        cls, left, right, dl, dr = self._cls.tolist(), self._left_at, self._right_at, self._dl_rows, self._dr_rows
+        last = self.nvars - 1
+        final = []
+
+        def hook(m, i, p, out):
+            ci, grown = cls[i], None
+            dl_i, dr_i = dl[left[i][p]], dr[right[i][p]]
+            for j, q in out.items():
+                d = dl_i[left[j][q]] - dr_i[right[j][q]]
+                if d < 0.0:
+                    d = -d
+                cj = cls[j]
+                if d > (grown or m)[ci][cj]:
+                    if grown is None:
+                        grown = [r[:] for r in m]
+                    grown[ci][cj] = grown[cj][ci] = d
+            if grown is not None:
+                if _lp_min_total(grown)[0] > bound:
+                    return None
+                m = grown
+            if len(out) == last:
+                final.append(m)  # the search stops at its first complete assignment
+            return m
+
+        # every assignment's maxima reach the class floor, so the search starts there
+        got = _backtrack(list(range(self.nvars)), doms, rows.tolist(), self.budget.tick, False, hook=hook, state=floor)
+        if got is None:
+            return None
+        return [got[i] for i in range(self.nvars)], final[-1]
 
 
 def _lp_min_total(m):
@@ -545,92 +581,6 @@ def _lp_min_total(m):
     if not res.success:
         raise RuntimeError(f"cap LP failed: {res.message}")
     return float(res.fun), [float(x) for x in res.x]
-
-
-class _LpSearch(_VarSystem):
-    """Assignment search minimizing the total cap budget across several classes.
-
-    Tracks the per-class-pair mismatch maxima of the partial assignment and
-    prunes once their LP-minimal total exceeds the target. A query at total T
-    forward-checks domains with the shared mask builder at the necessary caps:
-    a same-class pair cannot mismatch by more than 2T, a cross-class pair by
-    more than T.
-    """
-
-    def prepare(self):
-        """``delta_rows[j][i]`` (j < i): the mismatch block of the ordered pair
-        (j, i) as nested lists, rows over j's values and columns over i's."""
-        v = self.nvars
-        self.delta_rows = [[None] * v for _ in range(v)]
-        for rows, cols, block in self._group_blocks():
-            fwd, back = block.tolist(), block.transpose(0, 1, 3, 2).tolist()
-            for a, i in enumerate(rows):
-                for b, j in enumerate(cols):
-                    if i < j:
-                        self.delta_rows[i][j] = fwd[a][b]
-                    elif j < i:
-                        self.delta_rows[j][i] = back[a][b]
-
-    def feasible(self, total, n_classes):
-        v = self.nvars
-        tol = self.tol
-        cls = [c for (_, _, c, _) in self.vars]
-        theta = np.where(np.eye(n_classes, dtype=bool), 2 * total, total) + tol
-        built = self._build_masks(theta)
-        if built is None:
-            return None
-        masks = built[0].tolist()
-        out_pos = [0] * v
-        out = [None] * v
-        tick = self.budget.tick
-        rows = self.delta_rows
-        pos_of = self.pos_of
-        doms0 = [m for (_, _, _, m) in self.vars]
-        m0 = [[0.0] * n_classes for _ in range(n_classes)]
-
-        def rec(level, doms, m):
-            if level == v:
-                val, point = _lp_min_total(m)
-                return point if val <= total + tol else None
-            ci = cls[level]
-            col = [rows[j][level][out_pos[j]] for j in range(level)]
-            row_masks = masks[level]
-            for p in _mask_bits(doms[level]):
-                tick()
-                pos = pos_of[level][p]
-                m2 = [r[:] for r in m]
-                grew = False
-                for j in range(level):
-                    d = col[j][pos]
-                    cj = cls[j]
-                    if d > m2[cj][ci]:
-                        m2[cj][ci] = m2[ci][cj] = d
-                        grew = True
-                if grew:
-                    val, _ = _lp_min_total(m2)
-                    if val > total + tol:
-                        continue
-                nxt = list(doms)
-                wiped = False
-                for j in range(level + 1, v):
-                    nd = nxt[j] & row_masks[j][p]
-                    if nd == 0:
-                        wiped = True
-                        break
-                    nxt[j] = nd
-                if wiped:
-                    continue
-                out[level] = p
-                out_pos[level] = pos
-                point = rec(level + 1, nxt, m2)
-                if point is not None:
-                    return point
-            return None
-
-        point = rec(0, doms0, m0)
-        if point is None:
-            return None
-        return list(out), point
 
 
 def _pair_vars(system, pair_l, pair_r, cls_space=0, cls_subset=1):
@@ -736,106 +686,28 @@ def _mirror_bracket(bracket):
 def gh_compact_pair(pair_p, pair_q, resolution, budget=None):
     """Bracket the compact pair distance: inf over gluings of d_H(X,Y) + d_H(A,B).
 
-    Feasibility of a total budget is swept over splits (t1, t2 = T - t1); the
-    sweep is exact because an assignment feasible anywhere on the line is
-    feasible at t1 = (half its worst space-level mismatch), and those half
-    values form the finite candidate set. The outer bisection refines the
-    total to the requested resolution.
+    A pair is the depth-1 tuple of its subset, so this is ``gh_compact_tuple``
+    with two cap classes; the witness keys the subset maps by point index.
     """
-    _check_resolution(resolution, pair_p.space, pair_q.space)
-    _check_certificate_slack(resolution, pair_p.space, pair_q.space)
-    if _swap_for_canonical_order(pair_p.space, (pair_p.a,), pair_q.space, (pair_q.a,)):
-        return _mirror_bracket(gh_compact_pair(pair_q, pair_p, resolution, budget))
-    bud = _Budget(_budget_limit(budget))
-    left, right = pair_p.space, pair_q.space
-    tol = max(left.tol, right.tol)
-    system = _MaskSearch(left.dist, right.dist, tol, bud)
-    _pair_vars(system, pair_p, pair_q)
-    system.finalize()
-
-    cand = system.split_candidates()
-    floor = system.class_floor(2)
-    t1_min, t2_min, mixed_min = floor[0, 0] / 2, floor[1, 1] / 2, floor[0, 1]
-    lo0 = max(mixed_min, t1_min + t2_min)
-    cache = {}  # per split value: (largest infeasible t2, smallest feasible t2, its witness)
-
-    def split_feasible(c, t2):
-        bad, good, good_values = cache.get(c, (-1.0, np.inf, None))
-        if t2 <= bad:
-            return None
-        if t2 >= good:
-            return good_values
-        values = system.feasible((c, t2))
-        if values is None:
-            cache[c] = (t2, good, good_values)
-        else:
-            cache[c] = (bad, t2, values)
-        return values
-
-    def total_feasible(total):
-        if total + tol < lo0:
-            return None
-        lo_c, hi_c = t1_min - tol, total - t2_min + tol
-        for c in cand[(cand >= lo_c) & (cand <= hi_c)]:
-            values = split_feasible(float(c), total - float(c))
-            if values is not None:
-                return values
-        return None
-
-    def tighten(values, hi, best):
-        # exact cost of the found assignment: often far below the tested total,
-        # and at most tol above it, so the cheapest one found stays within
-        # tol of the bisection's feasible bound
-        m = system.class_maxima(values, 2)
-        caps = (m[0][0] / 2, max(m[1][1] / 2, m[0][1] - m[0][0] / 2))
-        total = caps[0] + caps[1]
-        if best is None or total < best[0] + best[1]:
-            best = caps
-        return min(hi, total), best
-
-    scale = max(left.diameter, right.diameter)
-    t_lo = lo0
-    t_hi, best = np.inf, None
-    values = total_feasible(lo0)
-    if values is not None:
-        t_hi, best = tighten(values, t_hi, best)
-    else:
-        probe = max(scale, lo0 + resolution)
-        values = total_feasible(probe)
-        while values is None:  # pseudo caps at half the diameter always glue
-            probe = 2 * probe + resolution
-            values = total_feasible(probe)
-        t_hi, best = tighten(values, t_hi, best)
-        while t_hi - t_lo > resolution / 2:
-            mid = (t_hi + t_lo) / 2
-            values = total_feasible(mid)
-            if values is None:
-                t_lo = mid
-            else:
-                t_hi, best = tighten(values, min(t_hi, mid), best)
-    caps = best
-    values = system.first_witness(caps)
-    cert = _certificate(left, right, system, values, caps)
-    achieved = pair_hausdorff(cert, pair_p, pair_q)
-    hi = achieved + 2 * tol
-    lo = min(t_lo, hi)
-    return DistanceBracket(
-        lo=float(lo),
-        hi=float(hi),
-        resolution=float(resolution),
-        certificate=cert,
-        lo_reason=f"no cap split glued below a total of {t_lo:.9g}",
-        witness=_witness_dict(system, values, caps),
-        tol=tol,
+    bracket = gh_compact_tuple(
+        MetricTuple(pair_p.space, (pair_p.a,)), MetricTuple(pair_q.space, (pair_q.a,)), resolution, budget
     )
+    witness = dict(bracket.witness)
+    for kind in ("alpha", "beta"):
+        witness[kind] = {a: v for (_, a), v in witness[kind].items()}
+    reason = bracket.lo_reason.replace("cap vector", "cap split")  # pair reports keep their wording
+    return replace(bracket, lo_reason=reason, witness=witness)
 
 
 def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
     """Bracket the compact tuple distance: one cap class per chain level.
 
-    With more than one free split coordinate the exact one-dimensional sweep
-    does not generalize, so feasibility of a total is decided by assignment
-    search with an LP bound on the per-class caps (equivalent, and exact).
+    The total T of the caps is bisected, and each step is one decision
+    search: does some assignment of partners have per-class mismatch maxima
+    whose LP-minimal cap total is at most T? Each assignment found costs
+    exactly that LP value, which may tighten the upper end below T. The
+    cheapest one found fixes the caps, and the certificate glues the
+    lexicographically first assignment at those caps.
     """
     if tuple_t.depth != tuple_u.depth:
         raise ChainLengthMismatch(f"{tuple_t.depth} vs {tuple_u.depth}")
@@ -847,31 +719,38 @@ def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
     left, right = tuple_t.space, tuple_u.space
     tol = max(left.tol, right.tol)
     n_cls = tuple_t.depth + 1
-    system = _LpSearch(left.dist, right.dist, tol, bud)
+    system = _MaskSearch(left.dist, right.dist, tol, bud)
     _tuple_vars(system, tuple_t, tuple_u)
     system.finalize()
-    system.prepare()
+    floor = system.class_floor(n_cls).tolist()
 
-    lo0, _ = _lp_min_total(system.class_floor(n_cls))
-    hit = system.feasible(lo0, n_cls)
-    if hit is not None:
-        t_lo, best = lo0, hit
-    else:
+    def cost(total):
+        """(LP cost, caps) of an assignment found at this total, or None."""
+        hit = system.decide(total, floor)
+        return None if hit is None else _lp_min_total(hit[1])
+
+    lo0, _ = _lp_min_total(floor)
+    t_lo = lo0
+    best = cost(lo0)
+    if best is None:
         scale = max(left.diameter, right.diameter)
-        t_lo = lo0
         t_hi = max(n_cls * scale / 2, lo0 + resolution)
-        best = system.feasible(t_hi, n_cls)
-        while best is None:
+        best = cost(t_hi)
+        while best is None:  # pseudo caps at half the diameter always glue
             t_hi = 2 * t_hi + resolution
-            best = system.feasible(t_hi, n_cls)
+            best = cost(t_hi)
+        t_hi = min(t_hi, best[0])
         while t_hi - t_lo > resolution / 2:
             mid = (t_hi + t_lo) / 2
-            hit = system.feasible(mid, n_cls)
+            hit = cost(mid)
             if hit is None:
                 t_lo = mid
             else:
-                t_hi, best = mid, hit
-    values, caps = best
+                t_hi = min(mid, hit[0])
+                if hit[0] < best[0]:
+                    best = hit
+    caps = best[1]
+    values = system.first_witness(caps)
     cert = _certificate(left, right, system, values, caps)
     achieved = tuple_hausdorff(cert, tuple_t, tuple_u)
     hi = achieved + 2 * tol

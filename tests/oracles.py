@@ -333,3 +333,85 @@ def truncated_eps_grid(dl, dr, a_idx, b_idx, grid):
         if truncated_feasible_at_eps(dl, dr, a_idx, b_idx, eps):
             return float(eps)
     return None
+
+
+def lp_min_total_vertices(m):
+    """min sum(t) subject to t_i + t_j >= m[i][j] (i <= j) and t >= 0.
+
+    Primal vertex enumeration: every c-subset of the constraints is solved as
+    equalities, and the smallest total over the solutions that satisfy all
+    constraints is the optimum (the feasible region is pointed, and the
+    objective is bounded below on it, so some vertex is optimal). ``m`` is one
+    symmetric c x c matrix (returns a float) or a stack of them (an array).
+    """
+    m = np.asarray(m, dtype=float)
+    stack = m.reshape((-1,) + m.shape[-2:])
+    c = m.shape[-1]
+    pairs = [(i, j) for i in range(c) for j in range(i, c)]
+    a = np.zeros((len(pairs) + c, c))
+    for k, (i, j) in enumerate(pairs):
+        a[k, i] += 1.0
+        a[k, j] += 1.0
+    a[len(pairs):] = np.eye(c)
+    rhs = [stack[:, i, j] for i, j in pairs] + [np.zeros(len(stack))] * c
+    b = np.stack(rhs, axis=1)
+    slack = 1e-12 * max(1.0, float(np.abs(m).max(initial=0.0)))
+    best = np.full(len(stack), np.inf)
+    for subset in itertools.combinations(range(len(a)), c):
+        sub = a[list(subset)]
+        if abs(np.linalg.det(sub)) < 0.5:  # integer matrix: singular
+            continue
+        t = np.linalg.solve(sub, b[:, list(subset)].T).T
+        feasible = (t @ a.T >= b - slack).all(axis=1)
+        best = np.where(feasible, np.minimum(best, t.sum(axis=1)), best)
+    return float(best[0]) if m.ndim == 2 else best
+
+
+def cap_variables(nl, nr, chain_l, chain_r):
+    """(side, source, class, domain) of every partner variable of a compact
+    pair or tuple search, in the solver's order: f on the left, g on the
+    right, then per chain level the subset maps both ways."""
+    out = [(0, x, 0, list(range(nr))) for x in range(nl)]
+    out += [(1, y, 0, list(range(nl))) for y in range(nr)]
+    for k, (ca, cb) in enumerate(zip(chain_l, chain_r)):
+        out += [(0, a, k + 1, list(cb)) for a in ca]
+        out += [(1, b, k + 1, list(ca)) for b in cb]
+    return out
+
+
+def cap_class_maxima(dl, dr, chain_l, chain_r, values):
+    """Per-class-pair maxima of |d_L - d_R| over every pair of assigned edges."""
+    variables = cap_variables(len(dl), len(dr), chain_l, chain_r)
+    c = len(chain_l) + 1
+    m = np.zeros((c, c))
+    edges = [(src, val) if side == 0 else (val, src) for (side, src, _, _), val in zip(variables, values)]
+    for u in range(len(edges)):
+        for w in range(u + 1, len(edges)):
+            d = abs(dl[edges[u][0]][edges[w][0]] - dr[edges[u][1]][edges[w][1]])
+            cu, cw = variables[u][2], variables[w][2]
+            m[cu][cw] = m[cw][cu] = max(m[cu][cw], d)
+    return m
+
+
+def compact_min_cost(dl, dr, chain_l, chain_r):
+    """Smallest cap total over every assignment of partners: each assignment
+    costs the LP minimum of its per-class-pair mismatch maxima. All
+    assignments are enumerated at once, as rows of one array."""
+    dl, dr = np.asarray(dl), np.asarray(dr)
+    variables = cap_variables(len(dl), len(dr), chain_l, chain_r)
+    values = np.array(list(itertools.product(*[dom for (_, _, _, dom) in variables])))
+    side = np.array([s for (s, _, _, _) in variables])
+    src = np.array([x for (_, x, _, _) in variables])
+    cls = np.array([k for (_, _, k, _) in variables])
+    left = np.where(side == 0, src, values)
+    right = np.where(side == 0, values, src)
+    mismatch = np.abs(dl[left[:, :, None], left[:, None, :]] - dr[right[:, :, None], right[:, None, :]])
+    c = len(chain_l) + 1
+    maxima = np.zeros((len(values), c, c))
+    for a in range(c):
+        for b in range(a, c):
+            sel = ((cls[:, None] == a) & (cls[None, :] == b)) | ((cls[:, None] == b) & (cls[None, :] == a))
+            if sel.any():
+                maxima[:, a, b] = maxima[:, b, a] = mismatch[:, sel].max(axis=1)
+    distinct = np.unique(maxima.reshape(len(maxima), -1), axis=0).reshape(-1, c, c)
+    return float(lp_min_total_vertices(distinct).min())

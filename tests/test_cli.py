@@ -263,3 +263,13 @@ def test_gh_resolution_below_certificate_slack_is_input_error(docs, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["error"]["kind"] == "PreconditionViolated"
     assert "result" not in report
+
+
+def test_point_cap_is_not_reported_as_a_budget_abort(tmp_path, capsys):
+    big = line_space(np.arange(63.0))
+    path = tmp_path / "big.json"
+    path.write_text(formats.dumps(formats.pair_doc(MetricPair(big, big.subset([0])))))
+    assert main(["isometry", str(path), str(path)]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "SizeLimitExceeded"
+    assert "62 points" in error["detail"] and "budget" not in error["detail"]

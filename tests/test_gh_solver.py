@@ -31,7 +31,7 @@ from metric_pairs import (
 )
 from metric_pairs.gh_solver import (
     _Budget,
-    _LpSearch,
+    _lp_min_total,
     _MaskSearch,
     _pair_vars,
     _truncated_system,
@@ -207,6 +207,13 @@ def test_truncated_solver_agrees_with_raw_enumeration_oracle():
                 assert bracket.hi >= eps - 1e-9
 
 
+def _mismatch(system, i, p, j, q):
+    """|d_L - d_R| of the edges of variables i and j at values p and q, read
+    through the edge end points the decision search uses."""
+    left, right = system._left_at, system._right_at
+    return abs(system.dl[left[i][p], left[j][q]] - system.dr[right[i][p], right[j][q]])
+
+
 def _mask_kernel(p, q):
     tol = max(p.space.tol, q.space.tol)
     system = _MaskSearch(p.space.dist, q.space.dist, tol, _Budget(10**6))
@@ -253,7 +260,7 @@ def test_mask_kernel_verdicts_match_raw_enumeration_oracle(n_right):
                         assert values[i] in system.domlists[i]
                         for j in range(i + 1, system.nvars):
                             bound = caps[system.vars[i][2]] + caps[system.vars[j][2]] + tol
-                            assert system.pair_delta(i, values[i], j, values[j]) <= bound
+                            assert _mismatch(system, i, values[i], j, values[j]) <= bound
     assert all(seen.values()), seen
 
 
@@ -322,10 +329,9 @@ def _nested_tuple(rng, space, depth):
 
 def _tuple_system(t, u):
     tol = max(t.space.tol, u.space.tol)
-    system = _LpSearch(t.space.dist, u.space.dist, tol, _Budget(10**6))
+    system = _MaskSearch(t.space.dist, u.space.dist, tol, _Budget(10**6))
     _tuple_vars(system, t, u)
     system.finalize()
-    system.prepare()
     return system, tol
 
 
@@ -355,13 +361,73 @@ def test_lp_search_tables_match_per_pair_reference(depth):
         _assert_tables_match_reference(system, depth + 1)
         for j in range(system.nvars):
             for i in range(j + 1, system.nvars):
-                assert system.delta_rows[j][i] == _reference_block(system, j, i).tolist()
+                got = [[_mismatch(system, j, p, i, q) for q in system.domlists[i]] for p in system.domlists[j]]
+                assert got == _reference_block(system, j, i).tolist()
         # no pair is hopeless once the total reaches the largest pair_min
         m, big = system.pair_min.max(), system.pair_max.max()
         for total in (0.0, m / 2, m, (m + big) / 2):
             theta = np.where(np.eye(depth + 1, dtype=bool), 2 * total, total) + tol
             checked += _assert_masks_match_reference(system, theta)
     assert checked >= 4
+
+
+def test_decision_search_matches_brute_force_min_cost():
+    # integer weights make ties, so several assignments often share the optimum
+    rng = np.random.default_rng(71)
+    cases = []
+    for n_left, n_right in ((2, 3), (3, 2), (3, 3), (2, 2)):
+        p, q = _integer_pair(rng, n_left), _integer_pair(rng, n_right)
+        cases.append((MetricTuple(p.space, (p.a,)), MetricTuple(q.space, (q.a,))))
+    for n_left, n_right in ((2, 3), (3, 2), (3, 3)):
+        left, right = _integer_pair(rng, n_left).space, _integer_pair(rng, n_right).space
+        cases.append((_nested_tuple(rng, left, 2), _nested_tuple(rng, right, 2)))
+    verdicts = []
+    for t, u in cases:
+        system, tol = _tuple_system(t, u)
+        dl, dr = t.space.dist, u.space.dist
+        chain_l, chain_r = [r.indices for r in t.chain], [r.indices for r in u.chain]
+        best = oracles.compact_min_cost(dl, dr, chain_l, chain_r)
+        floor = system.class_floor(t.depth + 1).tolist()
+        for total in (best - 0.25, best - 1e-3, best, best + 1e-3, best + 0.5):
+            if total < 0:
+                continue
+            hit = system.decide(total, floor)
+            assert (hit is not None) == (best <= total + tol), (total, best)
+            verdicts.append(hit is not None)
+            if hit is not None:
+                values, maxima = hit
+                m = oracles.cap_class_maxima(dl, dr, chain_l, chain_r, values)
+                assert np.array_equal(m, maxima)
+                assert oracles.lp_min_total_vertices(m) <= total + tol
+    assert True in verdicts and False in verdicts
+
+
+def test_lp_closed_forms_match_vertex_enumeration():
+    rng = np.random.default_rng(72)
+    for c in (1, 2, 3):
+        for _ in range(150):
+            w = rng.integers(0, 5, size=(c, c)) / 2.0
+            m = np.maximum(w, w.T).tolist()
+            value, point = _lp_min_total(m)
+            assert value == pytest.approx(oracles.lp_min_total_vertices(m), abs=1e-12)
+            assert sum(point) == pytest.approx(value, abs=1e-12) and min(point) >= 0.0
+            for i in range(c):
+                for j in range(i, c):
+                    assert point[i] + point[j] >= m[i][j] - 1e-12
+
+
+# One decision search per bisection step solves this pair in 6,976 ticks; a
+# sweep of one feasibility query per cap split needed 139,571.
+TEN_POINT_SEED, TEN_POINT_BUDGET = 5, 24_000
+
+
+def test_unrelated_ten_point_pair_solves_within_a_fixed_budget():
+    rng = np.random.default_rng(TEN_POINT_SEED)
+    left, right = random_space(rng, 10), random_space(rng, 10)
+    p = MetricPair(left, left.subset(random_subset(rng, 10, k=5)))
+    q = MetricPair(right, right.subset(random_subset(rng, 10, k=5)))
+    bracket = gh_compact_pair(p, q, 1e-3, budget=TEN_POINT_BUDGET)
+    assert bracket.hi - bracket.lo <= 1e-3 + 2 * bracket.tol
 
 
 def test_truncated_subsystems_equal_systems_built_on_the_balls():
@@ -418,19 +484,23 @@ def test_finalize_allocates_no_second_family_tensor():
     assert peak < system.d_ll.nbytes, (peak, system.d_ll.nbytes)
 
 
-def test_split_candidates_transient_stays_below_two_family_tensors():
+def test_decision_setup_stays_below_two_family_tensors():
     rng = np.random.default_rng(53)
     left, right = random_space(rng, 24), random_space(rng, 24)
-    system = _MaskSearch(left.dist, right.dist, max(left.tol, right.tol), _Budget(10**6))
+    t = MetricTuple(left, (left.subset(random_subset(rng, 24, k=12)),))
+    u = MetricTuple(right, (right.subset(random_subset(rng, 24, k=12)),))
+    system, tol = _tuple_system(t, u)
+    # a total at the diameter refutes nothing early, so every mask is built
+    total = max(left.diameter, right.diameter)
+    theta = np.where(np.eye(2, dtype=bool), 2 * total, total) + tol
     tracemalloc.start()
     try:
-        cand = system.split_candidates()
+        pruned = system._pruned(theta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert pruned is not None
     assert peak < 2 * system.d_ll.nbytes, (peak, system.d_ll.nbytes)
-    halves = np.unique(np.concatenate([system.d_ll.ravel(), system.d_lr.ravel()])) / 2.0
-    assert np.array_equal(cand, halves)
 
 
 @st.composite
@@ -479,6 +549,47 @@ def test_depth_one_tuple_bracket_intersects_pair_bracket(data):
     pair = gh_compact_pair(p, q, 1e-3)
     tup = gh_compact_tuple(MetricTuple(p.space, (p.a,)), MetricTuple(q.space, (q.a,)), 1e-3)
     assert max(pair.lo, tup.lo) <= min(pair.hi, tup.hi) + 2 * pair.tol
+
+
+@st.composite
+def _small_tuples(draw, max_points=4):
+    """A depth-2 tuple on at most ``max_points`` points with small integer weights."""
+    pair = draw(_small_pairs(max_points))
+    inner = draw(st.lists(st.sampled_from(pair.a.indices), min_size=1, unique=True))
+    return MetricTuple(pair.space, (pair.space.subset(sorted(inner)), pair.a))
+
+
+def _scaled(pair, lam):
+    space = validate_metric(pair.space.dist * lam)
+    return MetricPair(space, space.subset(pair.a.indices))
+
+
+@_PROPERTY
+@given(st.data())
+def test_compact_bracket_scales_with_both_spaces(data):
+    p, q = data.draw(_small_pairs()), data.draw(_small_pairs())
+    lam = data.draw(st.sampled_from([0.25, 0.5, 3.0, 10.0]))
+    base = gh_compact_pair(p, q, 1e-3)
+    scaled = gh_compact_pair(_scaled(p, lam), _scaled(q, lam), lam * 1e-3)
+    slack = 2 * scaled.tol
+    assert abs(scaled.lo - lam * base.lo) <= slack and abs(scaled.hi - lam * base.hi) <= slack
+
+
+@_PROPERTY
+@given(st.data())
+def test_compact_certificates_pass_the_oracles(data):
+    p, q = data.draw(_small_pairs()), data.draw(_small_pairs())
+    t, u = data.draw(_small_tuples()), data.draw(_small_tuples())
+    pair, tup = gh_compact_pair(p, q, 1e-3), gh_compact_tuple(t, u, 1e-3)
+    for bracket, x, y in ((pair, p, q), (tup, t, u)):
+        cross = bracket.certificate.cross
+        assert oracles.cross_is_admissible(x.space.dist, y.space.dist, cross, tol=2 * bracket.tol)
+    direct = oracles.pair_hausdorff_direct(
+        p.space.dist, q.space.dist, pair.certificate.cross, p.a.indices, q.a.indices
+    )
+    assert direct <= pair.hi
+    chains = [[r.indices for r in t.chain], [r.indices for r in u.chain]]
+    assert oracles.tuple_hausdorff_direct(t.space.dist, u.space.dist, tup.certificate.cross, *chains) <= tup.hi
 
 
 def test_approx_search_identity_and_validation():
