@@ -8,6 +8,8 @@ manufacture false failures.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NegativeRadius, PreconditionViolated
 from .gluing import check_eps_admissible
 from .metric_core import ball, check_subset
@@ -99,39 +101,24 @@ def _max_clique(adj_masks):
     return best
 
 
+def _center_masks(space, target, centers, r):
+    """Per center, the bitmask of the ``target`` points inside its open r-ball."""
+    inside = space.dist[np.ix_(target, centers)] < r
+    return [sum(1 << int(k) for k in np.flatnonzero(col)) for col in inside.T]
+
+
 def covering_outer(space, a, r):
     """Minimal number of open r-balls with centers anywhere in the space covering A."""
     _require_positive_radius(r)
     check_subset(space, a)
-    target = list(a.indices)
-    pos = {t: k for k, t in enumerate(target)}
-    universe = (1 << len(target)) - 1
-    masks = []
-    for x in range(len(space)):
-        m = 0
-        for t in target:
-            if space.dist[t, x] < r:
-                m |= 1 << pos[t]
-        if m:
-            masks.append(m)
-    return _min_cover(masks, universe)
+    return _min_cover(_center_masks(space, a.indices, range(len(space)), r), (1 << len(a)) - 1)
 
 
 def covering_inner(space, a, r):
     """Minimal number of open r-balls with centers inside A covering A."""
     _require_positive_radius(r)
     check_subset(space, a)
-    target = list(a.indices)
-    pos = {t: k for k, t in enumerate(target)}
-    universe = (1 << len(target)) - 1
-    masks = []
-    for x in target:
-        m = 0
-        for t in target:
-            if space.dist[t, x] < r:
-                m |= 1 << pos[t]
-        masks.append(m)
-    return _min_cover(masks, universe)
+    return _min_cover(_center_masks(space, a.indices, a.indices, r), (1 << len(a)) - 1)
 
 
 def packing(space, a, r):

@@ -25,9 +25,13 @@ backtracking runs only on the components that binding pairs connect.
 One forward-checking kernel, ``_backtrack``, serves every map search: cap
 assignments, approximations, rough isometries, isometries and convergence
 checks are each bitmask domains, a table of pairwise-compatible values and a
-check on complete assignments. The compact pair and tuple distances add a
-per-node hook: it carries the running per-class mismatch maxima down the
-search and prunes once their LP-minimal cap total exceeds the bisected total.
+check on complete assignments, and each is a single search. The compact pair
+and tuple distances add a per-node hook: it carries the running per-class
+mismatch maxima down the search and prunes once their LP-minimal cap total
+exceeds the bisected total. An approximation pair (f, g) is one search over
+the variables of f, then those of g, with the composition clauses as binary
+constraints between them; its hook drops a value once f(A) can no longer
+come eps-close to every point of B, or g(B) to every point of A.
 """
 
 import copy
@@ -173,9 +177,10 @@ def _backtrack(todo, doms, rows, tick, lexicographic=True, leaf=None, hook=None,
     only subtrees holding no compatible assignment are skipped. ``leaf`` may
     reject a complete assignment. ``tick`` is called once per value tried.
 
-    ``hook(state, i, p, out)`` may carry a state down the search: given the
-    state of the partial assignment ``out``, it returns the state once
-    variable i takes value p, or None to drop that value. ``state`` belongs
+    ``hook(state, i, p, out, doms)`` may carry a state down the search:
+    given the state of the partial assignment ``out``, it returns the state
+    once variable i takes value p, or None to drop that value; ``doms`` holds
+    the pruned domains of the variables still unassigned. ``state`` belongs
     to the empty assignment.
 
     Lexicographic mode assigns the variables in the order of ``todo`` with
@@ -207,7 +212,7 @@ def _backtrack(todo, doms, rows, tick, lexicographic=True, leaf=None, hook=None,
             else:  # no domain wiped out
                 child = state
                 if hook is not None:
-                    child = hook(state, level, p, out)
+                    child = hook(state, level, p, out, nxt)
                     if child is None:
                         continue
                 out[level] = p
@@ -497,7 +502,7 @@ class _MaskSearch:
         last = self.nvars - 1
         final = []
 
-        def hook(m, i, p, out):
+        def hook(m, i, p, out, doms):
             ci, grown = cls[i], None
             dl_i, dr_i = dl[left[i][p]], dr[right[i][p]]
             for j, q in out.items():
@@ -826,12 +831,22 @@ def _le(value, bound, tol):
     return value <= bound + tol
 
 
+def _covers(dist, targets, images, eps, tol):
+    """Whether every target lies within eps of some image."""
+    return len(targets) == 0 or _le(float(dist[np.ix_(targets, images)].min(axis=1).max()), eps, tol)
+
+
 def approx_search(pair_p, pair_q, eps, budget=None):
     """First eps-approximation pair (f, g) in lexicographic order, or None.
 
-    f is searched under distortion and subset-image constraints; each
-    complete f is accepted when a second search finds g under distortion,
-    composition and subset-image constraints.
+    One search assigns f_0, ..., f_{nl-1}, then g_0, ..., g_{nr-1}. Its table
+    holds the distortion clauses of f and of g and, between an f and a g
+    variable, the two composition clauses; "f(A) near B" and "g(B) near A"
+    are domains. A hook forward-checks the two image clauses: it drops a
+    value once some point of B lies farther than eps from every value f(A)
+    can still take, or some point of A from every value g(B) can still take.
+    The pair returned is the first f that admits some g, with that f's first
+    g.
     """
     if eps <= 0:
         raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
@@ -841,56 +856,44 @@ def approx_search(pair_p, pair_q, eps, budget=None):
     dl, dr = left.dist, right.dist
     nl, nr = len(left), len(right)
     tol = max(left.tol, right.tol)
+    bound = eps + tol
     a_idx, b_idx = pair_p.a.indices, pair_q.a.indices
-    d_to_b = dr[:, b_idx].min(axis=1)
-    d_to_a = dl[:, a_idx].min(axis=1)
-    f_rows = _compat_table(dl, dr, eps + tol).tolist()
-    g_rows = _compat_table(dr, dl, eps + tol).tolist()
+    near_l, near_r = dl <= bound, dr <= bound
+    wl, wr = _bit_weights(nl), _bit_weights(nr)
+    full_l, full_r = (1 << nl) - 1, (1 << nr) - 1
+    near_b = int(near_r[:, b_idx].any(axis=1) @ wr)
+    near_a = int(near_l[:, a_idx].any(axis=1) @ wl)
+    doms = [near_b if x in a_idx else full_r for x in range(nl)]
+    doms += [near_a if y in b_idx else full_l for y in range(nr)]
 
-    f_unary = [(1 << nr) - 1] * nl
-    for a in a_idx:  # d(f(a), B) must stay below eps
-        mask = 0
-        for y in range(nr):
-            if _le(d_to_b[y], eps, tol):
-                mask |= 1 << y
-        f_unary[a] = mask
+    rows = np.zeros((nl + nr, nl + nr, max(nl, nr)), dtype=np.int64)
+    rows[:nl, :nl, :nr] = _compat_table(dl, dr, bound)
+    rows[nl:, nl:, :nl] = _compat_table(dr, dl, bound)
+    # f_x = p and g_y = q need d_L(q, x) <= eps when p == y, and d_R(p, y) <= eps
+    # when q == x; f is complete before any g is assigned, so no g-to-f block is read
+    g_after_f = np.where(np.eye(nr, dtype=bool), (near_l.T @ wl)[:, None, None], full_l)
+    rows[:nl, nl:, :nr] = g_after_f & np.where(near_r.T, full_l, full_l ^ wl[:, None, None])
 
-    def subset_image_g(g):
-        img_g = sorted(set(g[b] for b in b_idx))
-        return _le(float(dl[np.ix_(a_idx, img_g)].min(axis=1).max()), eps, tol)
+    near_lb, near_rb = (near_l @ wl).tolist(), (near_r @ wr).tolist()
+    f_image, g_image = (a_idx, b_idx, near_rb), ([nl + b for b in b_idx], a_idx, near_lb)
 
-    found = []
+    def images_can_cover(state, v, p, out, doms):
+        # every point of B must stay within eps of a value f(A) can still take,
+        # and every point of A of a value g(B) can still take; f(A) is fixed
+        # once g is being assigned
+        for image_vars, targets, near in (f_image, g_image) if v < nl else (g_image,):
+            reach = 0
+            for j in image_vars:
+                reach |= doms[j] if j > v else 1 << (p if j == v else out[j])
+            for t in targets:
+                if not near[t] & reach:
+                    return None
+        return state
 
-    def g_exists(f):
-        # image of A must come eps-close to every point of B
-        img = sorted(set(f[a] for a in a_idx))
-        if not _le(float(dr[np.ix_(b_idx, img)].min(axis=1).max()), eps, tol):
-            return False
-        f_vals = [f[x] for x in range(nl)]
-        pre = [[] for _ in range(nr)]
-        for x, y in enumerate(f_vals):
-            pre[y].append(x)
-        b_set = set(b_idx)
-        unary = []
-        for y in range(nr):
-            mask = 0
-            for q in range(nl):
-                if y in b_set and not _le(d_to_a[q], eps, tol):
-                    continue  # g must keep B within eps of A
-                if all(_le(dl[q, x], eps, tol) for x in pre[y]) and _le(
-                    dr[f_vals[q], y], eps, tol
-                ):
-                    mask |= 1 << q
-            unary.append(mask)
-        g = _backtrack(list(range(nr)), unary, g_rows, bud.tick, leaf=subset_image_g)
-        if g is None:
-            return False
-        found.append(ApproximationPair(f=tuple(f_vals), g=tuple(g[y] for y in range(nr)), eps=float(eps)))
-        return True
-
-    if _backtrack(list(range(nl)), f_unary, f_rows, bud.tick, leaf=g_exists) is None:
+    fg = _backtrack(list(range(nl + nr)), doms, rows.tolist(), bud.tick, hook=images_can_cover, state=True)
+    if fg is None:
         return None
-    return found[0]
+    return ApproximationPair(f=tuple(fg[x] for x in range(nl)), g=tuple(fg[nl + y] for y in range(nr)), eps=float(eps))
 
 
 def validate_approximation(pair_p, pair_q, ap):
@@ -1014,11 +1017,8 @@ def rough_isometry_search(pair_p, pair_q, radius, eps, budget=None):
     doms = [near_b if u in a_set else in_tgt for u in dom]
 
     def images_cover(f):
-        img = sorted(set(f.values()))
-        if not _le(float(dr[np.ix_(b_idx, img)].min(axis=1).max()), eps, tol):
-            return False
-        cover = float(dr[np.ix_(tgt, img)].min(axis=1).max())
-        return _le(cover, eps, tol)
+        img = list(f.values())
+        return _covers(dr, b_idx, img, eps, tol) and _covers(dr, tgt, img, eps, tol)
 
     rows = _compat_table(dl[np.ix_(dom, dom)], dr, eps + tol).tolist()
     f = _backtrack(list(range(len(dom))), doms, rows, bud.tick, leaf=images_cover)
@@ -1076,14 +1076,9 @@ def verify_convergence(seq, target, sched, resolution=1e-3, budget=None):
         def feasible(eps):
             def images_cover(f):
                 img_a = sorted(set(f[i] for i in a_loc))
-                if not _le(hausdorff_of_matrix(dr, tuple(img_a), b_idx), eps, tol):
-                    return False
-                img = sorted(set(f.values()))
-                if tgt and not _le(
-                    float(dr[np.ix_(tgt, img)].min(axis=1).max()), eps, tol
-                ):
-                    return False
-                return True
+                return _le(hausdorff_of_matrix(dr, tuple(img_a), b_idx), eps, tol) and _covers(
+                    dr, tgt, list(f.values()), eps, tol
+                )
 
             rows = _compat_table(d_dom, dr, eps + tol).tolist()
             return _backtrack(list(range(len(dom))), doms, rows, bud.tick, leaf=images_cover) is not None

@@ -70,21 +70,9 @@ def hausdorff_between(pair_a, pair_b):
     return hausdorff(pair_a.space, pair_a.a, pair_b.a)
 
 
-def _require_glue_matches(glue, pair_a, pair_b):
-    if not same_space(glue.left, pair_a.space):
-        raise GlueMismatch("left side of the gluing does not match the first pair's space")
-    if not same_space(glue.right, pair_b.space):
-        raise GlueMismatch("right side of the gluing does not match the second pair's space")
-
-
 def pair_hausdorff(glue, pair_a, pair_b):
     """d_H(X, Y) + d_H(A, B), both terms evaluated in the glued ambient."""
-    _require_glue_matches(glue, pair_a, pair_b)
-    c = glue.cross
-    space_term = float(max(c.min(axis=1).max(), c.min(axis=0).max()))
-    sub = c[np.ix_(pair_a.a.indices, pair_b.a.indices)]
-    subset_term = float(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
-    return space_term + subset_term
+    return tuple_hausdorff(glue, MetricTuple(pair_a.space, (pair_a.a,)), MetricTuple(pair_b.space, (pair_b.a,)))
 
 
 def tuple_hausdorff(glue, tuple_a, tuple_b):
@@ -96,8 +84,7 @@ def tuple_hausdorff(glue, tuple_a, tuple_b):
     if not same_space(glue.left, tuple_a.space) or not same_space(glue.right, tuple_b.space):
         raise GlueMismatch("gluing does not join these tuple spaces")
     c = glue.cross
-    total = float(max(c.min(axis=1).max(), c.min(axis=0).max()))
+    total = hausdorff_of_matrix(c, range(len(c)), range(c.shape[1]))
     for ca, cb in zip(tuple_a.chain, tuple_b.chain):
-        sub = c[np.ix_(ca.indices, cb.indices)]
-        total += float(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
+        total += hausdorff_of_matrix(c, ca.indices, cb.indices)
     return total

@@ -15,6 +15,7 @@ from .errors import (
     MetricValidationError,
     MetricViolation,
     NegativeRadius,
+    PreconditionViolated,
 )
 
 DEFAULT_TOL_FACTOR = 1e-9
@@ -175,7 +176,7 @@ def ball(space, center, r, kind):
     if r < 0:
         raise NegativeRadius(f"radius {r} < 0")
     if kind not in ("open", "closed"):
-        raise ValueError(f"kind must be 'open' or 'closed', got {kind!r}")
+        raise PreconditionViolated("kind must be 'open' or 'closed'", kind)
     check_subset(space, center)
     d = subset_distances(space, center)
     if kind == "open":

@@ -896,6 +896,22 @@ def test_approx_search_returns_lexicographically_first_valid_pair():
     assert 0 < found < 24
 
 
+# One joint (f, g) search that forward-checks both image clauses needs at most
+# 64 ticks per call on these near pairs. On the 10-point pair, a fresh g search
+# per complete f needed 15,966 in one call; on the 12-point pair, checking
+# whether g(B) can cover A only while g is assigned needed 2,347,341.
+@pytest.mark.parametrize("seed, n", [(247, 10), (136, 12)])
+def test_approx_tail_draw_solves_within_a_fixed_budget(seed, n):
+    rng = np.random.default_rng(seed)
+    left = random_space(rng, n)
+    right = jittered_copy(left, rng, 0.05)
+    a = random_subset(rng, n, k=n // 2)
+    p, q = MetricPair(left, left.subset(a)), MetricPair(right, right.subset(a))
+    bracket = min_approx_eps(p, q, 1e-3, budget=1_000)
+    assert bracket.hi - bracket.lo <= 1e-3 + 2 * bracket.tol
+    assert validate_approximation(p, q, approx_search(p, q, bracket.hi)) == []
+
+
 def _rough_isometries(p, q, radius, eps):
     """Every map of the R-ball of A into the (R - eps)-ball of B that is an
     eps-rough isometry, by the definition, in lexicographic order."""

@@ -8,6 +8,7 @@ from metric_pairs import (
     InvalidSubset,
     MetricValidationError,
     NegativeRadius,
+    PreconditionViolated,
     SubsetRef,
     WeightedGraph,
     ball,
@@ -107,7 +108,7 @@ def test_ball_edge_cases():
     assert ball(space, a, 0.0, "open") is None
     with pytest.raises(NegativeRadius):
         ball(space, a, -1.0, "open")
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated):
         ball(space, a, 1.0, "half-open")
 
 
