@@ -28,7 +28,9 @@ checks are each bitmask domains, a table of pairwise-compatible values and a
 check on complete assignments, and each is a single search. The compact pair
 and tuple distances add a per-node hook: it carries the running per-class
 mismatch maxima down the search and prunes once their LP-minimal cap total
-exceeds the bisected total. An approximation pair (f, g) is one search over
+exceeds the bisected total. That LP optimum is half a maximum-weight
+assignment of the maxima, which the Hungarian method finds exactly, so the
+solvers need numpy alone. An approximation pair (f, g) is one search over
 the variables of f, then those of g, with the composition clauses as binary
 constraints between them; its hook drops a value once f(A) can no longer
 come eps-close to every point of B, or g(B) to every point of A.
@@ -226,20 +228,27 @@ def _backtrack(todo, doms, rows, tick, lexicographic=True, leaf=None, hook=None,
     return None
 
 
+def _family(tensor, side_i, side_j):
+    """``d_ll`` (or a function of it) as [src_i, src_j, value_i, value_j] of a
+    variable pair on these sides: d_L and d_R are symmetric, so it is a transpose."""
+    return tensor.transpose(2 * side_i, 1 + 2 * side_j, 2 - 2 * side_i, 3 - 2 * side_j)
+
+
 class _MaskSearch:
     """Cap-assignment searches over two spaces, with bitmask forward checking.
 
     Each variable assigns a partner across the gluing: side 0 variables map a
     left point to a right point, side 1 the reverse. ``cls`` indexes the cap
     budget the variable's edge consumes. The mismatch of an ordered variable
-    pair at values (p, q) is |d_L - d_R| of the induced point pairs; the two
-    family tensors below hold those mismatches for every combination.
+    pair at values (p, q) is |d_L - d_R| of the induced point pairs; one
+    family tensor, ``d_ll``, holds those mismatches for every combination, and
+    ``_family`` views it for each pair of sides.
 
     ``finalize`` builds every table a search needs once, in bulk. Variables
     sharing a side and a domain form a group (a pair has four: f, g, alpha,
-    beta), and each pair of groups costs one gather from a family tensor at
+    beta), and each pair of groups costs one gather from the family tensor at
     the groups' source points, reduced in row chunks so that no temporary
-    approaches the size of a family tensor:
+    approaches the size of the family tensor:
 
     * ``pair_min[i, j]`` (i < j; zero on and below the diagonal) is the
       smallest mismatch over both domains, ``pair_max`` (symmetric, zero
@@ -270,10 +279,9 @@ class _MaskSearch:
         self._dl_rows, self._dr_rows = dl.tolist(), dr.tolist()
         self.nl, self.nr = nl, nr
         self.budget = budget
-        # d_ll[x1, x2, y1, y2] = |d_L(x1, x2) - d_R(y1, y2)|   (two side-0 vars)
-        self.d_ll = np.abs(dl[:, :, None, None] - dr[None, None, :, :])
-        # d_lr[x, y, p, q] = |d_L(x, q) - d_R(p, y)|   (side 0 before side 1)
-        self.d_lr = np.abs(dl[:, None, None, :] - dr.T[None, :, :, None])
+        # d_ll[x1, x2, y1, y2] = |d_L(x1, x2) - d_R(y1, y2)|; ``_family`` views it per side pair
+        d_ll = dl[:, :, None, None] - dr[None, None, :, :]
+        self.d_ll = np.abs(d_ll, out=d_ll)
         self._bits = _bit_weights(max(nl, nr))
         self._tensor_cache = {}
         self.vars = []  # (side, src, cls, domain_mask)
@@ -324,20 +332,13 @@ class _MaskSearch:
         groups = {}
         for k, (side, _, _, mask) in enumerate(self.vars):
             groups.setdefault((side, mask), []).append(k)
-        # the family tensor of each side pair, as [src_i, src_j, value_i, value_j]
-        family = {
-            (0, 0): self.d_ll,
-            (1, 1): self.d_ll.transpose(2, 3, 0, 1),
-            (0, 1): self.d_lr,
-            (1, 0): self.d_lr.transpose(1, 0, 3, 2),
-        }
         src = np.array([x for (_, x, _, _) in self.vars], dtype=np.intp)
         keys = list(groups)
         for g, key_g in enumerate(keys):
             dom_g = _mask_bits(key_g[1])
             for key_h in keys[g:]:
                 dom_h = _mask_bits(key_h[1])
-                tensor = family[key_g[0], key_h[0]]
+                tensor = _family(self.d_ll, key_g[0], key_h[0])
                 members, cols = groups[key_g], groups[key_h]
                 step = max(1, self._CHUNK // (len(cols) * len(dom_g) * len(dom_h)))
                 for start in range(0, len(members), step):
@@ -347,7 +348,7 @@ class _MaskSearch:
     def subsystem(self, keep):
         """The system restricted to the variables ``keep`` (ascending), in their
         order. Its tables are sub-matrices of this system's, and it shares the
-        family tensors, the packed-tensor cache and the budget."""
+        family tensor, the packed-tensor cache and the budget."""
         sub = copy.copy(self)
         sub.vars, sub.meta = [self.vars[k] for k in keep], [self.meta[k] for k in keep]
         sub.domlists = [self.domlists[k] for k in keep]
@@ -372,16 +373,13 @@ class _MaskSearch:
         cache = self._tensor_cache
         packed = cache.get(theta)
         if packed is None:
-            nl, nr = self.nl, self.nr
-            w_l, w_r = self._bits[:nl], self._bits[:nr]
-            packed = np.zeros((nl + nr, nl + nr, len(self._bits)), dtype=np.int64)
-            ok = (self.d_ll <= theta).astype(np.int64)
-            packed[:nl, :nl, :nr] = ok @ w_r
-            packed[nl:, nl:, :nl] = ok.transpose(2, 3, 0, 1) @ w_l
-            del ok  # one int64 copy of a family tensor at a time
-            ok = (self.d_lr <= theta).astype(np.int64)
-            packed[:nl, nl:, :nr] = ok @ w_l
-            packed[nl:, :nl, :nl] = ok.transpose(1, 0, 3, 2) @ w_r
+            n = (self.nl, self.nr)
+            points = (slice(0, n[0]), slice(n[0], n[0] + n[1]))
+            packed = np.zeros((sum(n), sum(n), len(self._bits)), dtype=np.int64)
+            ok = (self.d_ll <= theta).astype(np.int64)  # the one int64 copy, viewed per side pair
+            for si, sj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                # values of side-s variables are points of the other side
+                packed[points[si], points[sj], : n[1 - si]] = _family(ok, si, sj) @ self._bits[: n[1 - sj]]
             if len(cache) >= self._TENSOR_KEEP:
                 del cache[next(iter(cache))]
             cache[theta] = packed
@@ -530,76 +528,64 @@ class _MaskSearch:
 
 
 def _lp_min_total(m):
-    """Minimize sum(t) subject to t_i + t_j >= m[i][j] (including i = j), t >= 0.
+    """Minimize sum(t) subject to t_i + t_j >= m[i][j] (i <= j) and t >= 0,
+    for a symmetric nonnegative nested list ``m``; returns (value, point).
 
-    ``m`` is a symmetric nested list. Returns (value, point). Closed forms
-    cover up to three cap classes; larger systems fall back to scipy's LP.
+    The optimum is half the largest weight of an assignment s of the classes
+    to themselves (Egervary 1931). Lower bound: every feasible t has
+    sum_i m[i][s(i)] <= sum_i (t_i + t_s(i)) = 2 sum(t). Attained: the
+    Hungarian method (Kuhn 1955) ends with potentials U_i + V_j >= m[i][j]
+    summing to that weight, so t_i = (U_i + V_i) / 2 is feasible, nonnegative
+    (2 t_i >= m[i][i] >= 0) and totals half of it. Two classes, the frequent
+    case of pairs, keep a closed form.
     """
     c = len(m)
-    if c == 1:
-        half = m[0][0] / 2.0
-        return half, [half]
     if c == 2:
         b0, b1 = m[0][0] / 2.0, m[1][1] / 2.0
         val = m[0][1] if m[0][1] > b0 + b1 else b0 + b1
         return val, [b0, val - b0]
-    if c == 3:
-        b0, b1, b2 = m[0][0] / 2.0, m[1][1] / 2.0, m[2][2] / 2.0
-        w01 = m[0][1] - b0 - b1
-        w02 = m[0][2] - b0 - b2
-        w12 = m[1][2] - b1 - b2
-        if w01 < 0.0:
-            w01 = 0.0
-        if w02 < 0.0:
-            w02 = 0.0
-        if w12 < 0.0:
-            w12 = 0.0
-        if w01 <= w02 + w12 and w02 <= w01 + w12 and w12 <= w01 + w02:
-            u0 = (w01 + w02 - w12) / 2.0
-            u1 = (w01 + w12 - w02) / 2.0
-            u2 = (w02 + w12 - w01) / 2.0
-        elif w01 >= w02 and w01 >= w12:
-            u2 = 0.0
-            u0 = w02
-            u1 = w12 if w12 > w01 - w02 else w01 - w02
-        elif w02 >= w01 and w02 >= w12:
-            u1 = 0.0
-            u0 = w01
-            u2 = w12 if w12 > w02 - w01 else w02 - w01
-        else:
-            u0 = 0.0
-            u1 = w01
-            u2 = w02 if w02 > w12 - w01 else w12 - w01
-        t = [b0 + u0, b1 + u1, b2 + u2]
-        return t[0] + t[1] + t[2], t
-    from scipy.optimize import linprog
-
-    rows, rhs = [], []
-    for i in range(c):
-        for j in range(i, c):
-            row = [0.0] * c
-            row[i] += 1.0
-            row[j] += 1.0
-            rows.append([-x for x in row])
-            rhs.append(-float(m[i][j]))
-    res = linprog(c=[1.0] * c, A_ub=rows, b_ub=rhs, bounds=[(0, None)] * c, method="highs")
-    if not res.success:
-        raise RuntimeError(f"cap LP failed: {res.message}")
-    return float(res.fun), [float(x) for x in res.x]
+    inf = float("inf")
+    # potentials U and V, and row[j], the row (from 1) on column j; column 0 is a free slot
+    u, v, row = [0.0] * (c + 1), [0.0] * (c + 1), [0] * (c + 1)
+    for i in range(1, c + 1):  # add rows one at a time, each along a shortest augmenting path
+        row[0], j0 = i, 0
+        slack, way, used = [inf] * (c + 1), [0] * (c + 1), [False] * (c + 1)
+        while row[j0]:
+            used[j0] = True
+            i0, delta, j1 = row[j0], inf, 0
+            for j in range(1, c + 1):
+                if not used[j]:
+                    cur = u[i0] + v[j] - m[i0 - 1][j - 1]
+                    if cur < slack[j]:
+                        slack[j], way[j] = cur, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(c + 1):
+                if used[j]:
+                    u[row[j]] -= delta
+                    v[j] += delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            row[j0] = row[way[j0]]
+            j0 = way[j0]
+    weight = sum(m[row[j] - 1][j - 1] for j in range(1, c + 1))
+    return weight / 2.0, [(u[i] + v[i]) / 2.0 for i in range(1, c + 1)]
 
 
-def _pair_vars(system, pair_l, pair_r, cls_space=0, cls_subset=1):
-    """Standard variable layout: f on the left, g on the right, then subset
-    maps both ways. Fixed order keeps witnesses lexicographic."""
+def _pair_vars(system, pair_l, pair_r):
+    """Truncated-pair layout, all in cap class 0: f on the left, g on the right,
+    then subset maps both ways. Fixed order keeps witnesses lexicographic."""
     nl, nr = system.nl, system.nr
     for x in range(nl):
-        system.add_var(0, x, cls_space, range(nr), "f", x)
+        system.add_var(0, x, 0, range(nr), "f", x)
     for y in range(nr):
-        system.add_var(1, y, cls_space, range(nl), "g", y)
+        system.add_var(1, y, 0, range(nl), "g", y)
     for a in pair_l.a.indices:
-        system.add_var(0, a, cls_subset, pair_r.a.indices, "alpha", a)
+        system.add_var(0, a, 0, pair_r.a.indices, "alpha", a)
     for b in pair_r.a.indices:
-        system.add_var(1, b, cls_subset, pair_l.a.indices, "beta", b)
+        system.add_var(1, b, 0, pair_l.a.indices, "beta", b)
 
 
 def _tuple_vars(system, tuple_t, tuple_u):
@@ -656,6 +642,16 @@ def _check_certificate_slack(resolution, *spaces):
     slack = 2 * max(s.tol for s in spaces)
     if resolution < slack:
         raise PreconditionViolated("resolution is below the certificate slack 2 * tol", (resolution, slack))
+
+
+def _with_tol_floor(p, q):
+    """``p`` and ``q`` (pairs or tuples), their shared tolerance raised to
+    1e-12 times the larger diameter if below it: at tolerance zero, a cap or
+    bisection midpoint an ulp short refutes the assignment it came from."""
+    floor = 1e-12 * max(p.space.diameter, q.space.diameter)
+    if max(p.space.tol, q.space.tol) >= floor:
+        return p, q
+    return tuple(replace(x, space=replace(x.space, tol=floor)) for x in (p, q))
 
 
 def _space_key(space):
@@ -716,6 +712,7 @@ def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
     """
     if tuple_t.depth != tuple_u.depth:
         raise ChainLengthMismatch(f"{tuple_t.depth} vs {tuple_u.depth}")
+    tuple_t, tuple_u = _with_tol_floor(tuple_t, tuple_u)
     _check_resolution(resolution, tuple_t.space, tuple_u.space)
     _check_certificate_slack(resolution, tuple_t.space, tuple_u.space)
     if _swap_for_canonical_order(tuple_t.space, tuple_t.chain, tuple_u.space, tuple_u.chain):
@@ -781,6 +778,7 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
     source lies in the two balls. Ball indices ascend, so the variables keep
     the order a system built on the balls alone would give them.
     """
+    pair_p, pair_q = _with_tol_floor(pair_p, pair_q)
     _check_resolution(resolution, pair_p.space, pair_q.space)
     if _swap_for_canonical_order(pair_p.space, (pair_p.a,), pair_q.space, (pair_q.a,)):
         return _mirror_bracket(gh_truncated_pair(pair_q, pair_p, resolution, budget))
@@ -788,7 +786,7 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
     left, right = pair_p.space, pair_q.space
     tol = max(left.tol, right.tol)
     full = _MaskSearch(left.dist, right.dist, tol, bud)
-    _pair_vars(full, pair_p, pair_q, cls_space=0, cls_subset=0)
+    _pair_vars(full, pair_p, pair_q)
     full.finalize()
 
     cap = 0.5
@@ -1085,7 +1083,7 @@ def verify_convergence(seq, target, sched, resolution=1e-3, budget=None):
 
         passed = feasible(eps_i)
         e_lo, e_hi = 0.0, eps_i if passed else max(left.diameter, right.diameter, eps_i)
-        while not feasible(e_hi):
+        while not passed and not feasible(e_hi):  # a passing eps_i was searched already
             e_hi = 2 * e_hi + resolution
         while e_hi - e_lo > resolution and e_hi > tol:
             mid = (e_hi + e_lo) / 2

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,6 +31,7 @@ from metric_pairs import (
     validate_metric,
     verify_convergence,
 )
+from metric_pairs import gh_solver
 from metric_pairs.gh_solver import (
     _Budget,
     _lp_min_total,
@@ -215,11 +218,8 @@ def _mismatch(system, i, p, j, q):
 
 
 def _mask_kernel(p, q):
-    tol = max(p.space.tol, q.space.tol)
-    system = _MaskSearch(p.space.dist, q.space.dist, tol, _Budget(10**6))
-    _pair_vars(system, p, q)
-    system.finalize()
-    return system, tol
+    """The two-class system ``gh_compact_pair`` searches: the depth-1 tuple layout."""
+    return _tuple_system(MetricTuple(p.space, (p.a,)), MetricTuple(q.space, (q.a,)))
 
 
 @pytest.mark.parametrize("n_right", [2, 3])
@@ -403,17 +403,39 @@ def test_decision_search_matches_brute_force_min_cost():
 
 
 def test_lp_closed_forms_match_vertex_enumeration():
+    # integer halves make ties and several optima; random weights, some zero, do not
     rng = np.random.default_rng(72)
-    for c in (1, 2, 3):
-        for _ in range(150):
-            w = rng.integers(0, 5, size=(c, c)) / 2.0
-            m = np.maximum(w, w.T).tolist()
+    for c in (1, 2, 3, 4, 5):
+        w = np.concatenate([
+            rng.integers(0, 5, size=(60, c, c)) / 2.0,
+            rng.uniform(0.0, 3.0, size=(60, c, c)) * (rng.uniform(size=(60, c, c)) < 0.8),
+        ])
+        stack = np.maximum(w, w.transpose(0, 2, 1))
+        for m, want in zip(stack.tolist(), oracles.lp_min_total_vertices(stack)):
             value, point = _lp_min_total(m)
-            assert value == pytest.approx(oracles.lp_min_total_vertices(m), abs=1e-12)
+            assert value == pytest.approx(want, abs=1e-12)
             assert sum(point) == pytest.approx(value, abs=1e-12) and min(point) >= 0.0
             for i in range(c):
                 for j in range(i, c):
                     assert point[i] + point[j] >= m[i][j] - 1e-12
+
+
+def test_depth_three_tuple_needs_no_scipy():
+    # four cap classes are priced by the exact cap LP, which must not import scipy
+    script = """
+import sys
+from metric_pairs import MetricTuple, gh_compact_tuple, validate_metric
+import numpy as np
+c = np.array([0.0, 1.0, 2.2, 3.7])
+s = validate_metric(np.abs(c[:, None] - c[None, :]))
+d = validate_metric(np.abs(1.1 * c[:, None] - 1.1 * c[None, :]))
+chain = lambda x: (x.subset([0]), x.subset([0, 1]), x.subset([0, 1, 2]))
+b = gh_compact_tuple(MetricTuple(s, chain(s)), MetricTuple(d, chain(d)), 1e-2)
+assert b.lo > 0, b
+print("scipy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 # One decision search per bisection step solves this pair in 6,976 ticks; a
@@ -440,7 +462,7 @@ def test_truncated_subsystems_equal_systems_built_on_the_balls():
         p, q = _pair(left, a), _pair(right, a)
         tol = max(left.tol, right.tol)
         full = _MaskSearch(left.dist, right.dist, tol, _Budget(10**6))
-        _pair_vars(full, p, q, cls_space=0, cls_subset=0)
+        _pair_vars(full, p, q)
         full.finalize()
         for eps in (0.5, 0.3, 0.2, 0.12, 0.08):
             sub = _truncated_system(full, p, q, eps)
@@ -469,12 +491,29 @@ def test_truncated_subsystems_equal_systems_built_on_the_balls():
     assert len(seen) > 1  # some balls cut points off
 
 
-def test_finalize_allocates_no_second_family_tensor():
+def _depth_one_24_point_tuples():
     rng = np.random.default_rng(53)
     left, right = random_space(rng, 24), random_space(rng, 24)
-    p, q = _pair(left, random_subset(rng, 24, k=12)), _pair(right, random_subset(rng, 24, k=12))
-    system = _MaskSearch(left.dist, right.dist, max(left.tol, right.tol), _Budget(10**6))
-    _pair_vars(system, p, q)
+    t = MetricTuple(left, (left.subset(random_subset(rng, 24, k=12)),))
+    u = MetricTuple(right, (right.subset(random_subset(rng, 24, k=12)),))
+    return t, u
+
+
+def test_system_retains_one_family_tensor():
+    t, u = _depth_one_24_point_tuples()
+    tracemalloc.start()
+    try:
+        system, _ = _tuple_system(t, u)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 1.5 * system.d_ll.nbytes, (retained, system.d_ll.nbytes)
+
+
+def test_finalize_allocates_no_second_family_tensor():
+    t, u = _depth_one_24_point_tuples()
+    system = _MaskSearch(t.space.dist, u.space.dist, max(t.space.tol, u.space.tol), _Budget(10**6))
+    _tuple_vars(system, t, u)
     tracemalloc.start()
     try:
         system.finalize()
@@ -485,13 +524,10 @@ def test_finalize_allocates_no_second_family_tensor():
 
 
 def test_decision_setup_stays_below_two_family_tensors():
-    rng = np.random.default_rng(53)
-    left, right = random_space(rng, 24), random_space(rng, 24)
-    t = MetricTuple(left, (left.subset(random_subset(rng, 24, k=12)),))
-    u = MetricTuple(right, (right.subset(random_subset(rng, 24, k=12)),))
+    t, u = _depth_one_24_point_tuples()
     system, tol = _tuple_system(t, u)
     # a total at the diameter refutes nothing early, so every mask is built
-    total = max(left.diameter, right.diameter)
+    total = max(t.space.diameter, u.space.diameter)
     theta = np.where(np.eye(2, dtype=bool), 2 * total, total) + tol
     tracemalloc.start()
     try:
@@ -573,6 +609,24 @@ def test_compact_bracket_scales_with_both_spaces(data):
     scaled = gh_compact_pair(_scaled(p, lam), _scaled(q, lam), lam * 1e-3)
     slack = 2 * scaled.tol
     assert abs(scaled.lo - lam * base.lo) <= slack and abs(scaled.hi - lam * base.hi) <= slack
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_zero_tolerance_brackets_carry_admissible_certificates(seed):
+    # at tolerance zero, an LP cap or a bisection midpoint an ulp short of a
+    # mismatch would refute the very assignment it came from
+    rng = np.random.default_rng(5 + 10 * seed)
+    for _ in range(20):
+        spaces = [random_space(rng, int(rng.integers(3, 6)), tol=0.0) for _ in range(2)]
+        p, q = [_pair(s, random_subset(rng, len(s))) for s in spaces]
+        t, u = [MetricTuple(x.space, (x.space.subset(x.a.indices[:1]), x.space.full_subset())) for x in (p, q)]
+        for bracket, x, y in (
+            (gh_compact_pair(p, q, 1e-3), p, q),
+            (gh_compact_tuple(t, u, 1e-3), t, u),
+            (gh_truncated_pair(p, q, 1e-3), p, q),
+        ):
+            if bracket.certificate is not None:
+                assert oracles.cross_is_admissible(x.space.dist, y.space.dist, bracket.certificate.cross)
 
 
 @_PROPERTY
@@ -697,6 +751,20 @@ def test_rough_isometry_not_found_when_truncated_distance_forbids():
     assert rough_isometry_search(p, q, radius, eps) is None
 
 
+def test_verify_convergence_searches_a_passing_eps_once(monkeypatch):
+    rng = np.random.default_rng(21)
+    target = random_pair(rng, n_lo=3, n_hi=4, hi=2.0)
+    seq_pair = MetricPair(jittered_copy(target.space, rng, 0.2), target.a)
+    radius = target.space.diameter + seq_pair.space.diameter + 1.0
+    sched = ConvergenceSchedule(eps_seq=(1.0,), radius_seq=(radius,))
+    searches, search = [], gh_solver._backtrack
+    monkeypatch.setattr(gh_solver, "_backtrack", lambda *args, **kw: searches.append(1) or search(*args, **kw))
+    report = verify_convergence([seq_pair], target, sched, resolution=1e-3)
+    assert report["indices"][0]["passed"]
+    # one search at eps = 1, then one per halving of [0, 1] down to the resolution
+    assert len(searches) == 1 + 10
+
+
 def test_verify_convergence_min_eps_tracks_distance():
     # an approximation witness at eps induces a ball map with twice the
     # distortion, so the per-index minimal eps stays within the sandwich scale
@@ -810,7 +878,7 @@ def test_gh_tuple_random_bracket_sane():
 
 
 def test_gh_tuple_deep_chain_uses_lp_fallback():
-    # four cap classes leave the closed-form regime and hit the LP solver
+    # four cap classes take the Hungarian method instead of the two-class closed form
     space = line_space([0.0, 1.0, 2.2])
     chain = (space.subset([0]), space.subset([0, 1]), space.subset([0, 1, 2]))
     t = MetricTuple(space, chain)
