@@ -53,17 +53,24 @@ from .errors import (
 )
 from .gluing import check_eps_admissible, glue_from_constraints
 from .hausdorff import MetricTuple, hausdorff_of_matrix, tuple_hausdorff
-from .metric_core import ball
+from .metric_core import ball, subset_distances
 
 DEFAULT_ASSIGNMENT_BUDGET = 10_000_000
 _MAX_POINTS = 62  # bitmask domains live in a single int
 
 
 def _budget_limit(budget):
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("METRIC_PAIRS_BUDGET")
-    return int(env) if env else DEFAULT_ASSIGNMENT_BUDGET
+    """The assignment budget: ``budget``, else METRIC_PAIRS_BUDGET, else the
+    default. Either source must give an integer of at least 1."""
+    if budget is None:
+        budget = os.environ.get("METRIC_PAIRS_BUDGET") or DEFAULT_ASSIGNMENT_BUDGET
+    try:
+        limit = int(budget)
+    except (TypeError, ValueError):
+        raise PreconditionViolated("budget must be an integer", budget) from None
+    if limit < 1:
+        raise PreconditionViolated("budget must be at least 1", limit)
+    return limit
 
 
 class _Budget:
@@ -173,11 +180,14 @@ def _backtrack(todo, doms, rows, tick, lexicographic=True, leaf=None, hook=None,
     """Forward-checking backtracking over bitmask domains: an assignment of
     the variables ``todo`` as {variable: value}, or None.
 
-    ``doms[i]`` is the bitmask of values of variable i, and ``rows[i][j][p]``
-    the bitmask of values of j compatible with value p of i. Assigning a
-    value prunes every unassigned domain, and a wipeout drops the value, so
-    only subtrees holding no compatible assignment are skipped. ``leaf`` may
-    reject a complete assignment. ``tick`` is called once per value tried.
+    ``doms[i]`` is the bitmask of values of variable i, and ``rows`` the
+    (V, V, n) int64 tensor whose entry [i, j, p] is the bitmask of values of
+    j compatible with value p of i. Its column ``rows[i, :, p]`` becomes a
+    list the first time the search visits value p of i, so a search pays for
+    the values it visits, not for the whole tensor. Assigning a value prunes
+    every unassigned domain, and a wipeout drops the value, so only subtrees
+    holding no compatible assignment are skipped. ``leaf`` may reject a
+    complete assignment. ``tick`` is called once per value tried.
 
     ``hook(state, i, p, out, doms)`` may carry a state down the search:
     given the state of the partial assignment ``out``, it returns the state
@@ -193,6 +203,8 @@ def _backtrack(todo, doms, rows, tick, lexicographic=True, leaf=None, hook=None,
     if any(doms[i] == 0 for i in todo):
         return None
     out = {}
+    width = rows.shape[2]
+    visited = [None] * (rows.shape[0] * width)  # [i * width + p]: rows[i, :, p] as a list
 
     def rec(doms, todo, state):
         if not todo:
@@ -202,12 +214,14 @@ def _backtrack(todo, doms, rows, tick, lexicographic=True, leaf=None, hook=None,
         else:
             level = min(todo, key=lambda i: doms[i].bit_count())  # ties: earliest in todo
         rest = [j for j in todo if j != level]
-        row = rows[level]
         for p in _mask_bits(doms[level]):
             tick()
+            row = visited[level * width + p]
+            if row is None:
+                row = visited[level * width + p] = rows[level, :, p].tolist()
             nxt = {}
             for j in rest:
-                nd = doms[j] & row[j][p]
+                nd = doms[j] & row[j]
                 if nd == 0:
                     break
                 nxt[j] = nd
@@ -459,15 +473,21 @@ class _MaskSearch:
         if pruned is None:
             return None  # refuted before any component is searched
         (rows, theta), doms = pruned
-        masks = rows.tolist()
         out = [None] * self.nvars
         for comp in self._components(theta):
-            got = _backtrack(comp, doms, masks, self.budget.tick, lexicographic)
+            got = _backtrack(comp, doms, rows, self.budget.tick, lexicographic)
             if got is None:
                 return None
             for i, p in got.items():
                 out[i] = p
         return out
+
+    def largest_mismatch(self, values):
+        """The largest mismatch between two variables at these values, the
+        same float that ``d_ll`` holds for that pair."""
+        left = [at[p] for at, p in zip(self._left_at, values)]
+        right = [at[p] for at, p in zip(self._right_at, values)]
+        return float(np.abs(self.dl[np.ix_(left, left)] - self.dr[np.ix_(right, right)]).max())
 
     def feasible(self, budgets):
         """Some satisfying assignment at these caps, or None (fast refutation)."""
@@ -521,7 +541,7 @@ class _MaskSearch:
             return m
 
         # every assignment's maxima reach the class floor, so the search starts there
-        got = _backtrack(list(range(self.nvars)), doms, rows.tolist(), self.budget.tick, False, hook=hook, state=floor)
+        got = _backtrack(list(range(self.nvars)), doms, rows, self.budget.tick, False, hook=hook, state=floor)
         if got is None:
             return None
         return [got[i] for i in range(self.nvars)], final[-1]
@@ -602,15 +622,47 @@ def _tuple_vars(system, tuple_t, tuple_u):
             system.add_var(1, b, k + 1, tuple_t.chain[k].indices, "beta", (k, b))
 
 
-def _truncated_system(full, pair_p, pair_q, eps):
-    """The sub-system of ``full`` whose variables have their source in the
-    closed (1/eps)-ball of their side's distinguished subset."""
-    radius = 1.0 / eps
-    inside = (
-        set(ball(pair_p.space, pair_p.a, radius, "closed").indices),
-        set(ball(pair_q.space, pair_q.a, radius, "closed").indices),
-    )
-    return full.subsystem([k for k, (side, src, _, _) in enumerate(full.vars) if src in inside[side]])
+class _BallSystems:
+    """The sub-systems of a truncated-pair system ``full``, one per pair of
+    closed (1/eps)-balls of the distinguished subsets: the sub-system at eps
+    keeps the variables whose source lies in its side's ball.
+
+    Each sub-system also keeps the smallest largest mismatch of the
+    assignments its searches returned. Such an assignment passes every mask
+    at a threshold of eps + eps + tol that reaches that value, since the
+    masks compare the same floats, so a step there is feasible without a
+    search.
+    """
+
+    def __init__(self, full, pair_p, pair_q):
+        self.full = full
+        self._near = [(subset_distances(x.space, x.a), x.space.tol) for x in (pair_p, pair_q)]
+        self._entries = {}  # ball memberships -> [sub-system, smallest largest mismatch found]
+
+    def _entry(self, eps):
+        radius = 1.0 / eps
+        inside = [d <= radius + tol for d, tol in self._near]  # as ``ball`` tests closed balls
+        key = (inside[0].tobytes(), inside[1].tobytes())
+        entry = self._entries.get(key)
+        if entry is None:
+            keep = [k for k, (side, src, _, _) in enumerate(self.full.vars) if inside[side][src]]
+            entry = self._entries[key] = [self.full.subsystem(keep), float("inf")]
+        return entry
+
+    def system(self, eps):
+        return self._entry(eps)[0]
+
+    def feasible(self, eps):
+        """Whether some assignment of the sub-system at eps keeps every cap at eps."""
+        entry = self._entry(eps)
+        system, settled = entry
+        if settled <= eps + eps + system.tol:
+            return True
+        values = system.feasible((eps,))
+        if values is None:
+            return False
+        entry[1] = system.largest_mismatch(values)  # within this step's threshold, so below ``settled``
+        return True
 
 
 def _witness_dict(system, values, caps):
@@ -775,8 +827,10 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
     restricted to the closed (1/eps)-balls of the distinguished subsets;
     monotone bisection on eps, capped at 1/2. One system over all points is
     built per call; each step searches its sub-system of the variables whose
-    source lies in the two balls. Ball indices ascend, so the variables keep
-    the order a system built on the balls alone would give them.
+    source lies in the two balls, built once per pair of balls. Ball indices
+    ascend, so the variables keep the order a system built on the balls alone
+    would give them. A step that an assignment found earlier already
+    satisfies is not searched (``_BallSystems``).
     """
     pair_p, pair_q = _with_tol_floor(pair_p, pair_q)
     _check_resolution(resolution, pair_p.space, pair_q.space)
@@ -788,9 +842,10 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
     full = _MaskSearch(left.dist, right.dist, tol, bud)
     _pair_vars(full, pair_p, pair_q)
     full.finalize()
+    systems = _BallSystems(full, pair_p, pair_q)
 
     cap = 0.5
-    if not _truncated_system(full, pair_p, pair_q, cap).feasible((cap,)):
+    if not systems.feasible(cap):
         return DistanceBracket(
             lo=cap,
             hi=cap,
@@ -803,11 +858,11 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
     e_lo, e_hi = 0.0, cap
     while e_hi - e_lo > resolution / 2 and e_hi > tol:
         mid = (e_hi + e_lo) / 2
-        if _truncated_system(full, pair_p, pair_q, mid).feasible((mid,)):
+        if systems.feasible(mid):
             e_hi = mid
         else:
             e_lo = mid
-    system = _truncated_system(full, pair_p, pair_q, e_hi)
+    system = systems.system(e_hi)
     values = system.first_witness((e_hi,))
     cert = _certificate(left, right, system, values, [e_hi])
     report = check_eps_admissible(cert, pair_p.a, pair_q.a, e_hi)
@@ -888,39 +943,45 @@ def approx_search(pair_p, pair_q, eps, budget=None):
                     return None
         return state
 
-    fg = _backtrack(list(range(nl + nr)), doms, rows.tolist(), bud.tick, hook=images_can_cover, state=True)
+    fg = _backtrack(list(range(nl + nr)), doms, rows, bud.tick, hook=images_can_cover, state=True)
     if fg is None:
         return None
     return ApproximationPair(f=tuple(fg[x] for x in range(nl)), g=tuple(fg[nl + y] for y in range(nr)), eps=float(eps))
 
 
+def _approximation_clauses(pair_p, pair_q, f, g):
+    """The value of each approximation clause for maps f and g, by name, in
+    the order ``validate_approximation`` reports them: (f, g) is an
+    eps-approximation iff every value is at most eps + tol."""
+    dl, dr = pair_p.space.dist, pair_q.space.dist
+    f = np.asarray(f, dtype=int)
+    g = np.asarray(g, dtype=int)
+    a_idx, b_idx = pair_p.a.indices, pair_q.a.indices
+    return {
+        "distortion_f": float(np.abs(dl - dr[np.ix_(f, f)]).max()),
+        "distortion_g": float(np.abs(dr - dl[np.ix_(g, g)]).max()),
+        "g_after_f": float(dl[np.arange(len(dl)), g[f]].max()),
+        "f_after_g": float(dr[np.arange(len(dr)), f[g]].max()),
+        "subset_image_f": hausdorff_of_matrix(dr, tuple(f[list(a_idx)]), b_idx),
+        "subset_image_g": hausdorff_of_matrix(dl, tuple(g[list(b_idx)]), a_idx),
+    }
+
+
 def validate_approximation(pair_p, pair_q, ap):
     """Names of the approximation clauses the witness fails (empty = valid)."""
-    left, right = pair_p.space, pair_q.space
-    dl, dr = left.dist, right.dist
-    tol = max(left.tol, right.tol)
-    eps = ap.eps
-    f = np.asarray(ap.f, dtype=int)
-    g = np.asarray(ap.g, dtype=int)
-    failures = []
-    if not _le(float(np.abs(dl - dr[np.ix_(f, f)]).max()), eps, tol):
-        failures.append("distortion_f")
-    if not _le(float(np.abs(dr - dl[np.ix_(g, g)]).max()), eps, tol):
-        failures.append("distortion_g")
-    if not _le(float(dl[np.arange(len(dl)), g[f]].max()), eps, tol):
-        failures.append("g_after_f")
-    if not _le(float(dr[np.arange(len(dr)), f[g]].max()), eps, tol):
-        failures.append("f_after_g")
-    a_idx, b_idx = pair_p.a.indices, pair_q.a.indices
-    if not _le(hausdorff_of_matrix(dr, tuple(f[list(a_idx)]), b_idx), eps, tol):
-        failures.append("subset_image_f")
-    if not _le(hausdorff_of_matrix(dl, tuple(g[list(b_idx)]), a_idx), eps, tol):
-        failures.append("subset_image_g")
-    return failures
+    tol = max(pair_p.space.tol, pair_q.space.tol)
+    clauses = _approximation_clauses(pair_p, pair_q, ap.f, ap.g)
+    return [name for name, value in clauses.items() if not _le(value, ap.eps, tol)]
 
 
 def min_approx_eps(pair_p, pair_q, resolution, budget=None):
-    """Bisect the smallest eps at which approx_search succeeds."""
+    """Bisect the smallest eps at which approx_search succeeds.
+
+    The valid pairs at eps only shrink as eps falls. So while the pair found
+    at the upper end stays valid at the midpoint (its largest clause value is
+    within mid + tol), it is also the lexicographically first pair there,
+    which approx_search would return, and no search runs.
+    """
     _check_resolution(resolution, pair_p.space, pair_q.space)
     scale = max(pair_p.space.diameter, pair_q.space.diameter)
     tol = max(pair_p.space.tol, pair_q.space.tol)
@@ -929,13 +990,18 @@ def min_approx_eps(pair_p, pair_q, resolution, budget=None):
     while best is None:  # constant maps succeed once eps reaches the diameter scale
         e_hi = 2 * e_hi + resolution
         best = approx_search(pair_p, pair_q, e_hi, budget)
+    need = max(_approximation_clauses(pair_p, pair_q, best.f, best.g).values())
     while e_hi - e_lo > resolution and e_hi > tol:
         mid = (e_hi + e_lo) / 2
+        if _le(need, mid, tol):
+            e_hi = mid
+            continue
         hit = approx_search(pair_p, pair_q, mid, budget)
         if hit is None:
             e_lo = mid
         else:
             e_hi, best = mid, hit
+            need = max(_approximation_clauses(pair_p, pair_q, best.f, best.g).values())
     return DistanceBracket(
         lo=float(e_lo),
         hi=float(e_hi),
@@ -1018,7 +1084,7 @@ def rough_isometry_search(pair_p, pair_q, radius, eps, budget=None):
         img = list(f.values())
         return _covers(dr, b_idx, img, eps, tol) and _covers(dr, tgt, img, eps, tol)
 
-    rows = _compat_table(dl[np.ix_(dom, dom)], dr, eps + tol).tolist()
+    rows = _compat_table(dl[np.ix_(dom, dom)], dr, eps + tol)
     f = _backtrack(list(range(len(dom))), doms, rows, bud.tick, leaf=images_cover)
     if f is None:
         return None
@@ -1039,7 +1105,7 @@ def pair_isometry_search(pair_p, pair_q):
     in_b = sum(1 << y for y in pair_q.a.indices)
     doms = [in_b if x in a_set else ((1 << n) - 1) ^ in_b for x in range(n)]
     # clearing bit p from every row at value p makes the map injective
-    rows = (_compat_table(left.dist, right.dist, tol) & ~_bit_weights(n)).tolist()
+    rows = _compat_table(left.dist, right.dist, tol) & ~_bit_weights(n)
     perm = _backtrack(list(range(n)), doms, rows, tick=lambda: None)
     if perm is None:
         return None
@@ -1078,7 +1144,7 @@ def verify_convergence(seq, target, sched, resolution=1e-3, budget=None):
                     dr, tgt, list(f.values()), eps, tol
                 )
 
-            rows = _compat_table(d_dom, dr, eps + tol).tolist()
+            rows = _compat_table(d_dom, dr, eps + tol)
             return _backtrack(list(range(len(dom))), doms, rows, bud.tick, leaf=images_cover) is not None
 
         passed = feasible(eps_i)

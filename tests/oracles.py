@@ -26,6 +26,20 @@ def diam_double_loop(dist, idx):
     return best
 
 
+def approximation_clauses_double_loop(dl, dr, a_idx, b_idx, f, g):
+    """The six clause values of maps f: X -> Y and g: Y -> X, by name; the
+    pair is an eps-approximation iff each is at most eps (plus tolerance)."""
+    nl, nr = len(dl), len(dr)
+    return {
+        "distortion_f": max(abs(dl[i][j] - dr[f[i]][f[j]]) for i in range(nl) for j in range(nl)),
+        "distortion_g": max(abs(dr[i][j] - dl[g[i]][g[j]]) for i in range(nr) for j in range(nr)),
+        "g_after_f": max(dl[x][g[f[x]]] for x in range(nl)),
+        "f_after_g": max(dr[y][f[g[y]]] for y in range(nr)),
+        "subset_image_f": hausdorff_double_loop(dr, [f[a] for a in a_idx], b_idx),
+        "subset_image_g": hausdorff_double_loop(dl, [g[b] for b in b_idx], a_idx),
+    }
+
+
 def ball_min_over_members(dist, centers, r, kind):
     """Indices within r of a center set; open uses <, closed uses <=."""
     out = []

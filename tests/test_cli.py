@@ -207,6 +207,16 @@ def test_budget_env_override(docs, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("env, flag", [("abc", None), ("1e6", None), ("0", None), (None, "0"), (None, "-3")])
+def test_budget_must_be_a_positive_integer(docs, capsys, monkeypatch, env, flag):
+    if env is not None:
+        monkeypatch.setenv("METRIC_PAIRS_BUDGET", env)
+    argv = ["gh", str(docs["p"]), str(docs["q"]), "--resolution", "1e-3"]
+    assert main(argv + (["--budget", flag] if flag else [])) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "PreconditionViolated" and "budget" in error["detail"]
+
+
 def test_module_entry_point(docs):
     import subprocess
     import sys

@@ -33,11 +33,11 @@ from metric_pairs import (
 )
 from metric_pairs import gh_solver
 from metric_pairs.gh_solver import (
+    _BallSystems,
     _Budget,
     _lp_min_total,
     _MaskSearch,
     _pair_vars,
-    _truncated_system,
     _tuple_vars,
 )
 
@@ -452,9 +452,21 @@ def test_unrelated_ten_point_pair_solves_within_a_fixed_budget():
     assert bracket.hi - bracket.lo <= 1e-3 + 2 * bracket.tol
 
 
+# Skipping the bisection steps that an assignment found earlier already
+# satisfies solves this near pair in 96 ticks; searching every step took 278.
+def test_truncated_near_pair_solves_within_a_fixed_budget():
+    rng = np.random.default_rng(2)
+    left = random_space(rng, 9)
+    right = jittered_copy(left, rng, 0.05)
+    a = random_subset(rng, 9, k=4)
+    bracket = gh_truncated_pair(_pair(left, a), _pair(right, a), 1e-3, budget=150)
+    assert (bracket.lo, bracket.hi) == (0.015625, 0.01611328125)  # as with an ample budget
+    assert bracket.witness["admissible"]
+
+
 def test_truncated_subsystems_equal_systems_built_on_the_balls():
     rng = np.random.default_rng(47)
-    seen = set()
+    seen, shared = set(), 0
     for _ in range(4):
         left = random_space(rng, 5, hi=8.0)
         right = jittered_copy(left, rng, 0.5)
@@ -464,8 +476,9 @@ def test_truncated_subsystems_equal_systems_built_on_the_balls():
         full = _MaskSearch(left.dist, right.dist, tol, _Budget(10**6))
         _pair_vars(full, p, q)
         full.finalize()
-        for eps in (0.5, 0.3, 0.2, 0.12, 0.08):
-            sub = _truncated_system(full, p, q, eps)
+        systems, by_balls = _BallSystems(full, p, q), {}
+        for eps in (0.5, 0.3, 0.2, 0.12, 0.08, 0.07):
+            sub = systems.system(eps)
             ref = _MaskSearch(left.dist, right.dist, tol, _Budget(10**6))
             ball_l = [x for x in range(5) if left.dist[x, a].min() <= 1 / eps + left.tol]
             ball_r = [y for y in range(5) if right.dist[y, a].min() <= 1 / eps + right.tol]
@@ -479,6 +492,11 @@ def test_truncated_subsystems_equal_systems_built_on_the_balls():
                 ref.add_var(1, y, 0, a, "beta", y)
             ref.finalize()
             seen.add((len(ball_l), len(ball_r)))
+            # eps values with the same balls get the same sub-system, and only they do
+            balls = (tuple(ball_l), tuple(ball_r))
+            shared += balls in by_balls
+            assert by_balls.setdefault(balls, sub) is sub
+            assert len({id(s) for s in by_balls.values()}) == len(by_balls)
             assert sub.vars == ref.vars and sub.meta == ref.meta
             assert np.array_equal(sub.pair_min, ref.pair_min)
             assert np.array_equal(sub.pair_max, ref.pair_max)
@@ -487,8 +505,11 @@ def test_truncated_subsystems_equal_systems_built_on_the_balls():
             assert (got is None) == (want is None)
             if got is not None:
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            # a verdict settled by an earlier step's assignment is the search's verdict
+            assert systems.feasible(eps) == (ref.feasible((eps,)) is not None)
             assert sub.first_witness((eps,)) == ref.first_witness((eps,))
     assert len(seen) > 1  # some balls cut points off
+    assert shared > 0
 
 
 def _depth_one_24_point_tuples():
@@ -536,6 +557,24 @@ def test_decision_setup_stays_below_two_family_tensors():
     finally:
         tracemalloc.stop()
     assert pruned is not None
+    assert peak < 2 * system.d_ll.nbytes, (peak, system.d_ll.nbytes)
+
+
+@pytest.mark.parametrize("query", ["decide", "feasible"])
+def test_searches_stay_below_two_family_tensors(query):
+    # a search converts only the rows of the values it visits; converting the
+    # whole row tensor to nested lists peaked at 2.8x (decide) and 2.6x
+    t, u = _depth_one_24_point_tuples()
+    system, _ = _tuple_system(t, u)
+    total = max(t.space.diameter, u.space.diameter)
+    floor = system.class_floor(2).tolist()
+    tracemalloc.start()
+    try:
+        found = system.decide(total, floor) if query == "decide" else system.feasible((total, total))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is not None
     assert peak < 2 * system.d_ll.nbytes, (peak, system.d_ll.nbytes)
 
 
@@ -962,6 +1001,57 @@ def test_approx_search_returns_lexicographically_first_valid_pair():
             assert approx_search(p, q, eps) == want, (p.a, q.a, eps)
             found += want is not None
     assert 0 < found < 24
+
+
+def _near_pairs(seed, count):
+    """Near-isometric pairs on 3-6 points sharing their subset, jitter 0.05."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 7))
+        left = random_space(rng, n)
+        a = random_subset(rng, n)
+        yield _pair(left, a), _pair(jittered_copy(left, rng, 0.05), a)
+
+
+def test_approximation_clauses_match_the_double_loop_oracle():
+    rng = np.random.default_rng(67)
+    pairs = list(_near_pairs(67, 6))
+    for _ in range(6):
+        pairs.append((_integer_pair(rng, int(rng.integers(2, 5))), _integer_pair(rng, int(rng.integers(2, 5)))))
+    for p, q in pairs:
+        nl, nr = len(p.space), len(q.space)
+        tol = max(p.space.tol, q.space.tol)
+        maps = [(rng.integers(0, nr, nl), rng.integers(0, nl, nr)) for _ in range(4)]
+        hit = approx_search(p, q, max(p.space.diameter, q.space.diameter) / 4)
+        maps += [] if hit is None else [(hit.f, hit.g)]
+        for f, g in maps:
+            f, g = tuple(int(v) for v in f), tuple(int(v) for v in g)
+            want = oracles.approximation_clauses_double_loop(
+                p.space.dist, q.space.dist, p.a.indices, q.a.indices, f, g
+            )
+            assert gh_solver._approximation_clauses(p, q, f, g) == want
+            for value in want.values():
+                for eps in (value, value - tol):  # a clause exactly at eps, or within tol of it
+                    failing = [name for name, v in want.items() if not v <= eps + tol]
+                    assert validate_approximation(p, q, ApproximationPair(f, g, eps)) == failing
+
+
+def _assert_min_approx_witness_is_first_at_hi(p, q):
+    bracket = min_approx_eps(p, q, 1e-3)
+    found = approx_search(p, q, bracket.hi)
+    assert (tuple(bracket.witness["f"]), tuple(bracket.witness["g"])) == (found.f, found.g)
+
+
+def test_min_approx_eps_witness_is_the_first_pair_at_hi():
+    for p, q in _near_pairs(71, 12):
+        _assert_min_approx_witness_is_first_at_hi(p, q)
+
+
+@_PROPERTY
+@given(st.data())
+def test_min_approx_eps_witness_is_the_first_pair_at_hi_on_small_pairs(data):
+    p, q = data.draw(_small_pairs(max_points=4)), data.draw(_small_pairs(max_points=4))
+    _assert_min_approx_witness_is_first_at_hi(p, q)
 
 
 # One joint (f, g) search that forward-checks both image clauses needs at most
