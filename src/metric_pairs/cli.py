@@ -7,6 +7,7 @@ No interactive mode: the intended users are scripts and CI.
 """
 
 import argparse
+import functools
 import sys
 
 from . import formats
@@ -51,7 +52,10 @@ def _comma_floats(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: every ``main`` call in a
+    process shares it, so callers only parse with it and never modify it."""
     parser = argparse.ArgumentParser(prog="metric-pairs", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 

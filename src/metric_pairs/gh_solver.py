@@ -30,7 +30,9 @@ and tuple distances add a per-node hook: it carries the running per-class
 mismatch maxima down the search and prunes once their LP-minimal cap total
 exceeds the bisected total. That LP optimum is half a maximum-weight
 assignment of the maxima, which the Hungarian method finds exactly, so the
-solvers need numpy alone. An approximation pair (f, g) is one search over
+solvers need numpy alone. A refuted step also reports the next total at
+which the same search could decide otherwise, and the bisection's lower end
+moves there. An approximation pair (f, g) is one search over
 the variables of f, then those of g, with the composition clauses as binary
 constraints between them; its hook drops a value once f(A) can no longer
 come eps-close to every point of B, or g(B) to every point of A.
@@ -114,7 +116,7 @@ class DistanceBracket:
     def __post_init__(self):
         if not (self.lo <= self.hi + self.tol):
             raise InvalidBracket(f"bracket inverted: [{self.lo}, {self.hi}]")
-        if self.hi - self.lo > self.resolution + 2 * self.tol:
+        if not (self.hi - self.lo <= self.resolution + 2 * self.tol):  # NaN fails too
             raise InvalidBracket(
                 f"bracket wider than resolution: [{self.lo}, {self.hi}] vs {self.resolution}"
             )
@@ -141,7 +143,7 @@ class ConvergenceSchedule:
         e, r = self.eps_seq, self.radius_seq
         if len(e) != len(r) or not e:
             raise LengthMismatch("schedules must be nonempty and of equal length")
-        if any(x <= 0 for x in e) or any(x <= 0 for x in r):
+        if not all(x > 0 for x in (*e, *r)):  # NaN is not positive either
             raise PreconditionViolated("schedule entries must be positive")
         if any(a <= b for a, b in zip(e, e[1:])):
             raise PreconditionViolated("eps_seq must be strictly decreasing")
@@ -498,29 +500,40 @@ class _MaskSearch:
         return self._assemble(budgets, lexicographic=True)
 
     def decide(self, total, floor):
-        """Some assignment whose caps can total at most ``total`` + tol, as
-        (values, maxima), or None. ``maxima`` are the assignment's per-class-pair
-        mismatch maxima; their ``_lp_min_total`` is its exact cost. ``floor``
-        is ``class_floor`` as nested lists.
+        """Search for an assignment whose caps can total at most ``total`` +
+        tol; returns (hit, retry). ``floor`` is ``class_floor`` as nested lists.
 
-        Such an assignment mismatches by at most 2 * total within a class and
-        by at most total across classes, so masks at those thresholds and
-        their arc-consistent domains lose none of them. The cost couples the
-        classes, so all variables form one most-constrained-first search with
-        no component split. Its hook carries the running maxima down and
+        An assignment's cost is at least each of its mismatches across classes
+        and half of each within a class, so masks at 2 * total + tol within a
+        class and total + tol across classes, and their arc-consistent
+        domains, lose no assignment costing at most total + tol / 2: a
+        refutation proves that every assignment costs more. The cost couples
+        the classes, so all variables form one most-constrained-first search
+        with no component split. Its hook carries the running maxima down and
         drops a value once they grow past the total.
+
+        A hit is (values, maxima) with retry None: ``maxima`` are the
+        assignment's per-class-pair mismatch maxima, and their
+        ``_lp_min_total`` is its exact cost. A refutation gives hit None and
+        retry, the smallest total above ``total`` at which this search could
+        decide differently: the next mask level (``_next_mask_level``) or the
+        cheapest LP value the hook dropped, less tol. Below retry the masks,
+        the arc-consistent domains, the search order and every hook verdict
+        are the ones here, so every total in [total, retry) is refuted too.
         """
         theta = np.where(np.eye(len(floor), dtype=bool), 2 * total, total) + self.tol
         pruned = self._pruned(theta)
         if pruned is None:
-            return None
+            return None, self._next_mask_level(total)
         (rows, _), doms = pruned
         bound = total + self.tol
         cls, left, right, dl, dr = self._cls.tolist(), self._left_at, self._right_at, self._dl_rows, self._dr_rows
         last = self.nvars - 1
         final = []
+        dropped = float("inf")  # the cheapest LP value the hook dropped
 
         def hook(m, i, p, out, doms):
+            nonlocal dropped
             ci, grown = cls[i], None
             dl_i, dr_i = dl[left[i][p]], dr[right[i][p]]
             for j, q in out.items():
@@ -533,7 +546,10 @@ class _MaskSearch:
                         grown = [r[:] for r in m]
                     grown[ci][cj] = grown[cj][ci] = d
             if grown is not None:
-                if _lp_min_total(grown)[0] > bound:
+                cost = _lp_min_total(grown)[0]
+                if cost > bound:
+                    if cost < dropped:
+                        dropped = cost
                     return None
                 m = grown
             if len(out) == last:
@@ -543,8 +559,18 @@ class _MaskSearch:
         # every assignment's maxima reach the class floor, so the search starts there
         got = _backtrack(list(range(self.nvars)), doms, rows, self.budget.tick, False, hook=hook, state=floor)
         if got is None:
-            return None
-        return [got[i] for i in range(self.nvars)], final[-1]
+            return None, min(self._next_mask_level(total), dropped - self.tol)
+        return ([got[i] for i in range(self.nvars)], final[-1]), None
+
+    def _next_mask_level(self, total):
+        """The smallest total above ``total`` at which ``decide`` builds other
+        masks: (d1 - tol) / 2 for the first mismatch d1 above 2 * total + tol,
+        or d2 - tol for the first mismatch d2 above total + tol. Each scan
+        allocates one boolean copy of ``d_ll``, an eighth of its bytes."""
+        d_ll, tol = self.d_ll, self.tol
+        within = np.min(d_ll, where=d_ll > 2 * total + tol, initial=np.inf)
+        across = np.min(d_ll, where=d_ll > total + tol, initial=np.inf)
+        return float(min((within - tol) / 2, across - tol))
 
 
 def _lp_min_total(m):
@@ -682,7 +708,7 @@ def _certificate(left, right, system, values, caps):
 
 
 def _check_resolution(resolution, *spaces):
-    if resolution <= 0:
+    if not resolution > 0:  # NaN is not positive either
         raise PreconditionViolated("resolution must be positive", resolution)
     scale = max(s.diameter for s in spaces)
     if scale > 0 and resolution > scale:
@@ -758,8 +784,10 @@ def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
     The total T of the caps is bisected, and each step is one decision
     search: does some assignment of partners have per-class mismatch maxima
     whose LP-minimal cap total is at most T? Each assignment found costs
-    exactly that LP value, which may tighten the upper end below T. The
-    cheapest one found fixes the caps, and the certificate glues the
+    exactly that LP value, which may tighten the upper end below T. A
+    refuted step moves the lower end past every total that the same search
+    would refute again (IDA*'s bound update), not just to T. The cheapest
+    assignment found fixes the caps, and the certificate glues the
     lexicographically first assignment at those caps.
     """
     if tuple_t.depth != tuple_u.depth:
@@ -779,27 +807,31 @@ def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
     floor = system.class_floor(n_cls).tolist()
 
     def cost(total):
-        """(LP cost, caps) of an assignment found at this total, or None."""
-        hit = system.decide(total, floor)
-        return None if hit is None else _lp_min_total(hit[1])
+        """(LP cost, caps) of an assignment found at this total, or None after
+        moving t_lo to the first total at which the search could succeed."""
+        nonlocal t_lo
+        hit, retry = system.decide(total, floor)
+        if hit is None:
+            t_lo = min(max(total, retry), t_hi)
+            return None
+        return _lp_min_total(hit[1])
 
     lo0, _ = _lp_min_total(floor)
-    t_lo = lo0
+    t_lo, t_hi = lo0, float("inf")  # no upper end until some total succeeds
     best = cost(lo0)
     if best is None:
         scale = max(left.diameter, right.diameter)
-        t_hi = max(n_cls * scale / 2, lo0 + resolution)
-        best = cost(t_hi)
+        total = max(n_cls * scale / 2, lo0 + resolution)
+        best = cost(total)
         while best is None:  # pseudo caps at half the diameter always glue
-            t_hi = 2 * t_hi + resolution
-            best = cost(t_hi)
-        t_hi = min(t_hi, best[0])
+            total = 2 * total + resolution
+            best = cost(total)
+        t_hi = min(total, best[0])
+        t_lo = min(t_lo, t_hi)
         while t_hi - t_lo > resolution / 2:
             mid = (t_hi + t_lo) / 2
             hit = cost(mid)
-            if hit is None:
-                t_lo = mid
-            else:
+            if hit is not None:
                 t_hi = min(mid, hit[0])
                 if hit[0] < best[0]:
                     best = hit
@@ -901,7 +933,7 @@ def approx_search(pair_p, pair_q, eps, budget=None):
     The pair returned is the first f that admits some g, with that f's first
     g.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
     bud = _Budget(_budget_limit(budget))
     left, right = pair_p.space, pair_q.space
@@ -1019,7 +1051,7 @@ def complete_distortion_map(pair_p, pair_q, f, eps):
     Preimages are chosen lowest-index-first; points outside the image map
     through their nearest image point.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
     left, right = pair_p.space, pair_q.space
     dl, dr = left.dist, right.dist
@@ -1122,6 +1154,8 @@ def verify_convergence(seq, target, sched, resolution=1e-3, budget=None):
     """
     if len(seq) != len(sched.eps_seq):
         raise LengthMismatch(f"{len(seq)} pairs vs {len(sched.eps_seq)} schedule entries")
+    if not resolution > 0:
+        raise PreconditionViolated("resolution must be positive", resolution)
     _check_size(target.space)
     bud = _Budget(_budget_limit(budget))
     reports = []

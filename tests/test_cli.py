@@ -5,7 +5,7 @@ import pytest
 
 from metric_pairs import MetricPair, MetricTuple, glue_from_approximation, same_space
 from metric_pairs import formats
-from metric_pairs.cli import main
+from metric_pairs.cli import build_parser, main
 
 from conftest import line_space, random_space
 
@@ -120,6 +120,25 @@ def test_truncated_approx_isometry_exit_codes(docs, capsys):
     capsys.readouterr()
     assert main(["isometry", str(docs["p"]), str(docs["q"])]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb, flag", [("gh", "--resolution"), ("gh-truncated", "--resolution"),
+                                        ("approx", "--resolution"), ("approx", "--eps")])
+def test_nan_resolution_and_eps_are_input_errors(docs, capsys, verb, flag):
+    assert main([verb, str(docs["p"]), str(docs["q"]), flag, "nan"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert "result" not in report
+    assert report["error"]["kind"] == ("NonPositiveEpsilon" if flag == "--eps" else "PreconditionViolated")
+
+
+def test_parser_is_built_once_and_reused(docs, capsys):
+    assert build_parser() is build_parser()
+    # a request with flags leaves none of them behind for the next one
+    assert main(["gh", str(docs["p"]), str(docs["q"]), "--resolution", "1e-2", "--budget", "4"]) == 3
+    capsys.readouterr()
+    assert main(["validate", str(docs["space"])]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verb"] == "validate" and report["params"] == {}
 
 
 def test_rough_isom_verb(docs, capsys):

@@ -15,6 +15,7 @@ from metric_pairs import (
     InvalidBracket,
     MetricPair,
     MetricTuple,
+    NonPositiveEpsilon,
     PreconditionViolated,
     ResolutionTooCoarse,
     SizeLimitExceeded,
@@ -121,6 +122,25 @@ def test_bracket_invariants_raise_typed_errors():
     with pytest.raises(InvalidBracket):
         DistanceBracket(lo=0.0, hi=1.5, resolution=1.0, tol=0.2)
     assert DistanceBracket(lo=0.0, hi=1.4, resolution=1.0, tol=0.2).hi == 1.4
+    with pytest.raises(InvalidBracket):
+        DistanceBracket(lo=0.0, hi=1.0, resolution=float("nan"))
+
+
+def test_nan_resolution_and_eps_are_typed_errors():
+    # NaN fails every ``not x > 0`` guard, where ``x <= 0`` would pass it
+    rng = np.random.default_rng(2)
+    p, q = random_pair(rng), random_pair(rng)
+    nan = float("nan")
+    for solver in (gh_compact_pair, gh_truncated_pair, min_approx_eps):
+        with pytest.raises(PreconditionViolated):
+            solver(p, q, nan)
+    with pytest.raises(NonPositiveEpsilon):
+        approx_search(p, q, nan)
+    with pytest.raises(NonPositiveEpsilon):
+        complete_distortion_map(p, q, [0] * len(p.space), nan)
+    sched = ConvergenceSchedule(eps_seq=(1.0,), radius_seq=(1.0,))
+    with pytest.raises(PreconditionViolated):
+        verify_convergence([p], p, sched, resolution=nan)
 
 
 def test_certificate_achieves_hi():
@@ -391,14 +411,23 @@ def test_decision_search_matches_brute_force_min_cost():
         for total in (best - 0.25, best - 1e-3, best, best + 1e-3, best + 0.5):
             if total < 0:
                 continue
-            hit = system.decide(total, floor)
+            hit, retry = system.decide(total, floor)
             assert (hit is not None) == (best <= total + tol), (total, best)
             verdicts.append(hit is not None)
             if hit is not None:
+                assert retry is None
                 values, maxima = hit
                 m = oracles.cap_class_maxima(dl, dr, chain_l, chain_r, values)
                 assert np.array_equal(m, maxima)
                 assert oracles.lp_min_total_vertices(m) <= total + tol
+            else:
+                # every total below retry refutes too, so nothing costs less
+                # than retry + tol / 2; not retry + tol, since an assignment
+                # whose cost is half a mismatch d within a class passes the
+                # masks only from (d - tol) / 2 = cost - tol / 2 on
+                assert total < retry
+                assert retry + tol / 2 <= best + 1e-12, (total, retry, best)
+                assert system.decide((total + retry) / 2, floor)[0] is None
     assert True in verdicts and False in verdicts
 
 
@@ -450,6 +479,29 @@ def test_unrelated_ten_point_pair_solves_within_a_fixed_budget():
     q = MetricPair(right, right.subset(random_subset(rng, 10, k=5)))
     bracket = gh_compact_pair(p, q, 1e-3, budget=TEN_POINT_BUDGET)
     assert bracket.hi - bracket.lo <= 1e-3 + 2 * bracket.tol
+
+
+def test_refuted_steps_skip_the_totals_they_settle(monkeypatch):
+    # a refutation moves lo to the next total that could decide differently;
+    # moving it to the midpoint took 16 + 15 + 13 + 11 + 16 + 10 = 81 searches
+    # on these six pairs, and the jump takes 54
+    totals = []
+    decide = _MaskSearch.decide
+
+    def counted(self, total, floor):
+        totals.append(total)
+        return decide(self, total, floor)
+
+    monkeypatch.setattr(_MaskSearch, "decide", counted)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        left = random_space(rng, 6)
+        a = random_subset(rng, 6, 3)
+        right = random_space(rng, 6)
+        b = random_subset(rng, 6, 3)
+        bracket = gh_compact_pair(_pair(left, a), _pair(right, b), 1e-3)
+        assert bracket.hi - bracket.lo <= 1e-3 + 2 * bracket.tol
+    assert len(totals) <= 62, len(totals)
 
 
 # Skipping the bisection steps that an assignment found earlier already
@@ -570,7 +622,7 @@ def test_searches_stay_below_two_family_tensors(query):
     floor = system.class_floor(2).tolist()
     tracemalloc.start()
     try:
-        found = system.decide(total, floor) if query == "decide" else system.feasible((total, total))
+        found = system.decide(total, floor)[0] if query == "decide" else system.feasible((total, total))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -952,6 +1004,9 @@ def test_schedule_validation():
         ConvergenceSchedule(eps_seq=(0.1, 0.2), radius_seq=(1.0, 2.0))
     with pytest.raises(PreconditionViolated):
         ConvergenceSchedule(eps_seq=(0.2, 0.1), radius_seq=(2.0, 1.0))
+    for eps_seq, radius_seq in (((float("nan"),), (1.0,)), ((0.1,), (float("nan"),))):
+        with pytest.raises(PreconditionViolated):
+            ConvergenceSchedule(eps_seq=eps_seq, radius_seq=radius_seq)
 
 
 # Lexicographic-first witnesses against plain enumeration. Integer weights
