@@ -170,12 +170,17 @@ def _bit_weights(n):
     return np.left_shift(1, np.arange(n), dtype=np.int64)
 
 
-def _compat_table(dx, dy, bound):
-    """Pairwise compatibility of maps from the points of ``dx`` into those of
-    ``dy``: entry [i, j, p] is the bitmask of values q of point j with
-    |dx[i, j] - dy[p, q]| <= bound, given value p of point i."""
-    ok = np.abs(dx[:, :, None, None] - dy[None, None, :, :]) <= bound
-    return ok.astype(np.int64) @ _bit_weights(len(dy))
+def _mismatches(dx, dy):
+    """[i, j, p, q] = |dx[i, j] - dy[p, q]|, in one allocation."""
+    m = dx[:, :, None, None] - dy[None, None, :, :]
+    return np.abs(m, out=m)
+
+
+def _compat_table(mismatch, bound):
+    """Pairwise compatibility of maps, from their ``_mismatches``: entry
+    [i, j, p] is the bitmask of values q of point j with mismatch[i, j, p, q]
+    <= bound, given value p of point i."""
+    return (mismatch <= bound).astype(np.int64) @ _bit_weights(mismatch.shape[3])
 
 
 def _backtrack(todo, doms, rows, tick, lexicographic=True, leaf=None, hook=None, state=None):
@@ -244,12 +249,6 @@ def _backtrack(todo, doms, rows, tick, lexicographic=True, leaf=None, hook=None,
     return None
 
 
-def _family(tensor, side_i, side_j):
-    """``d_ll`` (or a function of it) as [src_i, src_j, value_i, value_j] of a
-    variable pair on these sides: d_L and d_R are symmetric, so it is a transpose."""
-    return tensor.transpose(2 * side_i, 1 + 2 * side_j, 2 - 2 * side_i, 3 - 2 * side_j)
-
-
 class _MaskSearch:
     """Cap-assignment searches over two spaces, with bitmask forward checking.
 
@@ -257,22 +256,25 @@ class _MaskSearch:
     left point to a right point, side 1 the reverse. ``cls`` indexes the cap
     budget the variable's edge consumes. The mismatch of an ordered variable
     pair at values (p, q) is |d_L - d_R| of the induced point pairs; one
-    family tensor, ``d_ll``, holds those mismatches for every combination, and
-    ``_family`` views it for each pair of sides.
+    family tensor, ``d_ll``, holds those mismatches for every combination.
 
-    ``finalize`` builds every table a search needs once, in bulk. Variables
-    sharing a side and a domain form a group (a pair has four: f, g, alpha,
-    beta), and each pair of groups costs one gather from the family tensor at
-    the groups' source points, reduced in row chunks so that no temporary
-    approaches the size of the family tensor:
+    ``finalize`` builds every table a search needs once, in bulk. Each
+    variable's domain is padded to one width by repeating its first value,
+    which a minimum or a maximum ignores. The mismatch of variables i and j
+    at their p-th and q-th values then sits at ``head[i, p] + tail[j, q]`` of
+    the flattened family tensor, where ``head`` holds the flat offsets of the
+    induced point pair's first entries and ``tail`` those of its second
+    ones. One gather at that index map, in row chunks over the upper columns
+    so that no temporary approaches the size of the family tensor, gives:
 
-    * ``pair_min[i, j]`` (i < j; zero on and below the diagonal) is the
-      smallest mismatch over both domains, ``pair_max`` (symmetric, zero
-      diagonal) the largest;
+    * ``pair_min[i, j]`` (i < j; zero on and below the diagonal), the
+      smallest mismatch over both domains, and ``pair_max`` (symmetric, zero
+      diagonal), the largest;
     * ``_build_masks`` turns a per-class-pair threshold matrix into one
-      (V, V, n) row tensor of allowed-value bitmasks, gathered from packed
-      threshold tensors over the union of both spaces' points. Those do not
-      depend on the variables, so ``subsystem`` shares their cache.
+      (V, V, n) row tensor of allowed-value bitmasks, gathered through a
+      slot index from one packed tensor per distinct threshold, over the
+      union of both spaces' points. Those do not depend on the variables,
+      so ``subsystem`` shares their cache.
 
     Every query first prunes all domains to the greatest arc-consistent ones
     with a bit-parallel fixpoint over the row tensor. A query at fixed caps
@@ -295,9 +297,7 @@ class _MaskSearch:
         self._dl_rows, self._dr_rows = dl.tolist(), dr.tolist()
         self.nl, self.nr = nl, nr
         self.budget = budget
-        # d_ll[x1, x2, y1, y2] = |d_L(x1, x2) - d_R(y1, y2)|; ``_family`` views it per side pair
-        d_ll = dl[:, :, None, None] - dr[None, None, :, :]
-        self.d_ll = np.abs(d_ll, out=d_ll)
+        self.d_ll = _mismatches(dl, dr)  # [x1, x2, y1, y2] = |d_L(x1, x2) - d_R(y1, y2)|
         self._bits = _bit_weights(max(nl, nr))
         self._tensor_cache = {}
         self.vars = []  # (side, src, cls, domain_mask)
@@ -311,23 +311,28 @@ class _MaskSearch:
         self.meta.append((kind, key))
 
     def finalize(self):
-        v = len(self.vars)
-        low, high = np.zeros((v, v)), np.zeros((v, v))
-        for rows, cols, block in self._group_blocks():
-            ix, lo, hi = np.ix_(rows, cols), block.min(axis=(2, 3)), block.max(axis=(2, 3))
-            low[ix], low.T[ix], high[ix], high.T[ix] = lo, lo, hi, hi  # .T: the other order
-        np.fill_diagonal(high, 0.0)
+        side, src, self._cls, self._full = (np.array(col, dtype=np.int64) for col in zip(*self.vars))
         self.domlists = [_mask_bits(m) for (_, _, _, m) in self.vars]
-        side = np.array([s for (s, _, _, _) in self.vars], dtype=np.intp)
-        src = np.array([x for (_, x, _, _) in self.vars], dtype=np.intp)
-        self._cls = np.array([c for (_, _, c, _) in self.vars], dtype=np.intp)
         self._point = src + side * self.nl  # source point in the union of both spaces
-        self._full = np.array([m for (_, _, _, m) in self.vars], dtype=np.int64)
+        side, src = side[:, None], src[:, None]
         # the left and the right point of each variable's edge, per value
         values = np.arange(len(self._bits))
-        self._left_at = np.where(side[:, None] == 0, src[:, None], values).tolist()
-        self._right_at = np.where(side[:, None] == 0, values, src[:, None]).tolist()
-        self._tables(np.triu(low, 1), high)
+        self._left_at = np.where(side == 0, src, values).tolist()
+        self._right_at = np.where(side == 0, values, src).tolist()
+        # the same per domain position, padded with the first value, which min and max ignore
+        width = max(map(len, self.domlists))
+        dom = np.array([d + d[:1] * (width - len(d)) for d in self.domlists])
+        left, right = np.where(side == 0, src, dom), np.where(side == 0, dom, src)
+        head, tail = (left * self.nl * self.nr + right) * self.nr, left * self.nr * self.nr + right
+        v, flat = len(self.vars), self.d_ll.reshape(-1)
+        pair_min, pair_max = np.zeros((v, v)), np.zeros((v, v))
+        step = max(1, self._CHUNK // (v * width * width))
+        for start in range(0, v - 1, step):
+            rows, cols = slice(start, min(start + step, v - 1)), slice(start + 1, None)
+            block = flat[head[rows, None, :, None] + tail[None, cols, None, :]]
+            pair_min[rows, cols], pair_max[rows, cols] = block.min(axis=(2, 3)), block.max(axis=(2, 3))
+        pair_max = np.triu(pair_max, 1)
+        self._tables(np.triu(pair_min, 1), pair_max + pair_max.T)
 
     def _tables(self, pair_min, pair_max):
         """Both pair tables, and the upper-triangle views the mask builder tests."""
@@ -336,30 +341,6 @@ class _MaskSearch:
         upper = np.triu_indices(v, 1)
         self._pair_min_upper = pair_min[upper]
         self._cls_upper = (self._cls[upper[0]], self._cls[upper[1]])
-
-    def _group_blocks(self):
-        """Mismatch blocks of every pair of variable groups, in row chunks.
-
-        Yields (rows, cols, block): block[a, b, p, q] is the mismatch of the
-        ordered variable pair (rows[a], cols[b]) at the p-th and q-th values
-        of their domains. Each unordered pair of groups comes once; the other
-        order is the transpose, because mismatches are symmetric.
-        """
-        groups = {}
-        for k, (side, _, _, mask) in enumerate(self.vars):
-            groups.setdefault((side, mask), []).append(k)
-        src = np.array([x for (_, x, _, _) in self.vars], dtype=np.intp)
-        keys = list(groups)
-        for g, key_g in enumerate(keys):
-            dom_g = _mask_bits(key_g[1])
-            for key_h in keys[g:]:
-                dom_h = _mask_bits(key_h[1])
-                tensor = _family(self.d_ll, key_g[0], key_h[0])
-                members, cols = groups[key_g], groups[key_h]
-                step = max(1, self._CHUNK // (len(cols) * len(dom_g) * len(dom_h)))
-                for start in range(0, len(members), step):
-                    rows = members[start : start + step]
-                    yield rows, cols, tensor[np.ix_(src[rows], src[cols], dom_g, dom_h)]
 
     def subsystem(self, keep):
         """The system restricted to the variables ``keep`` (ascending), in their
@@ -389,13 +370,14 @@ class _MaskSearch:
         cache = self._tensor_cache
         packed = cache.get(theta)
         if packed is None:
-            n = (self.nl, self.nr)
-            points = (slice(0, n[0]), slice(n[0], n[0] + n[1]))
-            packed = np.zeros((sum(n), sum(n), len(self._bits)), dtype=np.int64)
-            ok = (self.d_ll <= theta).astype(np.int64)  # the one int64 copy, viewed per side pair
-            for si, sj in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                # values of side-s variables are points of the other side
-                packed[points[si], points[sj], : n[1 - si]] = _family(ok, si, sj) @ self._bits[: n[1 - sj]]
+            nl, nr = self.nl, self.nr
+            packed = np.zeros((nl + nr, nl + nr, len(self._bits)), dtype=np.int64)
+            ok = (self.d_ll <= theta).astype(np.int64)  # the one int64 copy
+            # x_rows[x1, x2, y1] masks the y2, y_rows[y1, y2, x1] the x2 within theta
+            x_rows = ok @ self._bits[:nr]
+            y_rows = ok.transpose(2, 3, 0, 1) @ self._bits[:nl]
+            packed[:nl, :nl, :nr], packed[nl:, :nl, :nl] = x_rows, x_rows.transpose(2, 1, 0)
+            packed[nl:, nl:, :nl], packed[:nl, nl:, :nr] = y_rows, y_rows.transpose(2, 1, 0)
             if len(cache) >= self._TENSOR_KEEP:
                 del cache[next(iter(cache))]
             cache[theta] = packed
@@ -411,9 +393,12 @@ class _MaskSearch:
         """
         if (self._pair_min_upper > theta[self._cls_upper]).any():
             return None  # some pair is already impossible at these thresholds
-        stack = np.stack([self._packed(float(t)) for t in theta.ravel()])
+        flat = theta.ravel().tolist()
+        levels = list(dict.fromkeys(flat))  # one packed tensor per distinct threshold
+        stack = np.stack([self._packed(t) for t in levels])
+        slot = np.array([levels.index(t) for t in flat]).reshape(theta.shape)
         ci, cj = self._cls[:, None], self._cls[None, :]
-        rows = stack[ci * len(theta) + cj, self._point[:, None], self._point[None, :]]
+        rows = stack[slot[ci, cj], self._point[:, None], self._point[None, :]]
         return rows, theta[ci, cj]
 
     def _arc_consistent(self, rows):
@@ -935,9 +920,15 @@ def approx_search(pair_p, pair_q, eps, budget=None):
     """
     if not eps > 0:
         raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
-    bud = _Budget(_budget_limit(budget))
+    limit = _budget_limit(budget)
+    _check_size(pair_p.space, pair_q.space)
+    return _approx_search(pair_p, pair_q, eps, limit, _mismatches(pair_p.space.dist, pair_q.space.dist))
+
+
+def _approx_search(pair_p, pair_q, eps, limit, mismatch):
+    """``approx_search`` at a budget of ``limit`` ticks, given ``_mismatches(d_L, d_R)``."""
+    bud = _Budget(limit)
     left, right = pair_p.space, pair_q.space
-    _check_size(left, right)
     dl, dr = left.dist, right.dist
     nl, nr = len(left), len(right)
     tol = max(left.tol, right.tol)
@@ -952,8 +943,8 @@ def approx_search(pair_p, pair_q, eps, budget=None):
     doms += [near_a if y in b_idx else full_l for y in range(nr)]
 
     rows = np.zeros((nl + nr, nl + nr, max(nl, nr)), dtype=np.int64)
-    rows[:nl, :nl, :nr] = _compat_table(dl, dr, bound)
-    rows[nl:, nl:, :nl] = _compat_table(dr, dl, bound)
+    rows[:nl, :nl, :nr] = _compat_table(mismatch, bound)
+    rows[nl:, nl:, :nl] = _compat_table(mismatch.transpose(2, 3, 0, 1), bound)  # |a - b| = |b - a| exactly
     # f_x = p and g_y = q need d_L(q, x) <= eps when p == y, and d_R(p, y) <= eps
     # when q == x; f is complete before any g is assigned, so no g-to-f block is read
     g_after_f = np.where(np.eye(nr, dtype=bool), (near_l.T @ wl)[:, None, None], full_l)
@@ -1012,23 +1003,27 @@ def min_approx_eps(pair_p, pair_q, resolution, budget=None):
     The valid pairs at eps only shrink as eps falls. So while the pair found
     at the upper end stays valid at the midpoint (its largest clause value is
     within mid + tol), it is also the lexicographically first pair there,
-    which approx_search would return, and no search runs.
+    which approx_search would return, and no search runs. Every search
+    thresholds the same mismatch tensor, computed once per call.
     """
     _check_resolution(resolution, pair_p.space, pair_q.space)
+    limit = _budget_limit(budget)
+    _check_size(pair_p.space, pair_q.space)
+    mismatch = _mismatches(pair_p.space.dist, pair_q.space.dist)
     scale = max(pair_p.space.diameter, pair_q.space.diameter)
     tol = max(pair_p.space.tol, pair_q.space.tol)
     e_lo, e_hi = 0.0, max(scale + tol, resolution)
-    best = approx_search(pair_p, pair_q, e_hi, budget)
+    best = _approx_search(pair_p, pair_q, e_hi, limit, mismatch)
     while best is None:  # constant maps succeed once eps reaches the diameter scale
         e_hi = 2 * e_hi + resolution
-        best = approx_search(pair_p, pair_q, e_hi, budget)
+        best = _approx_search(pair_p, pair_q, e_hi, limit, mismatch)
     need = max(_approximation_clauses(pair_p, pair_q, best.f, best.g).values())
     while e_hi - e_lo > resolution and e_hi > tol:
         mid = (e_hi + e_lo) / 2
         if _le(need, mid, tol):
             e_hi = mid
             continue
-        hit = approx_search(pair_p, pair_q, mid, budget)
+        hit = _approx_search(pair_p, pair_q, mid, limit, mismatch)
         if hit is None:
             e_lo = mid
         else:
@@ -1116,7 +1111,7 @@ def rough_isometry_search(pair_p, pair_q, radius, eps, budget=None):
         img = list(f.values())
         return _covers(dr, b_idx, img, eps, tol) and _covers(dr, tgt, img, eps, tol)
 
-    rows = _compat_table(dl[np.ix_(dom, dom)], dr, eps + tol)
+    rows = _compat_table(_mismatches(dl[np.ix_(dom, dom)], dr), eps + tol)
     f = _backtrack(list(range(len(dom))), doms, rows, bud.tick, leaf=images_cover)
     if f is None:
         return None
@@ -1137,7 +1132,7 @@ def pair_isometry_search(pair_p, pair_q):
     in_b = sum(1 << y for y in pair_q.a.indices)
     doms = [in_b if x in a_set else ((1 << n) - 1) ^ in_b for x in range(n)]
     # clearing bit p from every row at value p makes the map injective
-    rows = _compat_table(left.dist, right.dist, tol) & ~_bit_weights(n)
+    rows = _compat_table(_mismatches(left.dist, right.dist), tol) & ~_bit_weights(n)
     perm = _backtrack(list(range(n)), doms, rows, tick=lambda: None)
     if perm is None:
         return None
@@ -1168,7 +1163,7 @@ def verify_convergence(seq, target, sched, resolution=1e-3, budget=None):
         tgt = tgt_ball.indices if tgt_ball is not None else ()
         a_loc = [dom.index(a) for a in pair_i.a.indices]
         b_idx = target.a.indices
-        d_dom = dl[np.ix_(dom, dom)]
+        mismatch = _mismatches(dl[np.ix_(dom, dom)], dr)
         doms = [(1 << len(right)) - 1] * len(dom)
 
         def feasible(eps):
@@ -1178,7 +1173,7 @@ def verify_convergence(seq, target, sched, resolution=1e-3, budget=None):
                     dr, tgt, list(f.values()), eps, tol
                 )
 
-            rows = _compat_table(d_dom, dr, eps + tol)
+            rows = _compat_table(mismatch, eps + tol)
             return _backtrack(list(range(len(dom))), doms, rows, bud.tick, leaf=images_cover) is not None
 
         passed = feasible(eps_i)

@@ -203,19 +203,17 @@ def _fw_fixpoint(mat):
     no entry exceeds a two-step path in floating point, which is the
     triangle check validate_metric runs, so the result passes it with
     tolerance zero.
+    Each pivot builds its two-step paths in full, then lowers the matrix in
+    place: a pass holds three N x N arrays, never an N^3 one.
     """
     d = mat.copy()
     n = len(d)
-    changed = True
-    while changed:
-        changed = False
+    while True:
+        start = d.copy()
         for k in range(n):
-            via = d[:, k][:, None] + d[k, :][None, :]
-            better = via < d
-            if better.any():
-                d[better] = via[better]
-                changed = True
-    return d
+            np.minimum(d, d[:, k, None] + d[k], out=d)
+        if not (d < start).any():  # entries only fall, so nothing changed
+            return d
 
 
 def shortest_path_closure(graph):

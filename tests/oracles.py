@@ -227,6 +227,24 @@ def floyd_warshall_plain(mat):
     return d
 
 
+def floyd_warshall_fixpoint(mat):
+    """Shortest paths with plain loops over Python floats (inf: no edge):
+    Floyd-Warshall passes, repeated until one lowers no entry."""
+    d = [[float(x) for x in row] for row in mat]
+    n = len(d)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    via = d[i][k] + d[k][j]
+                    if via < d[i][j]:
+                        d[i][j] = via
+                        changed = True
+    return np.array(d)
+
+
 def compact_feasible_at_caps(dl, dr, a_idx, b_idx, t1, t2, tol=1e-9):
     """Existence of a gluing with d_H(X,Y) <= t1 and d_H(A,B) <= t2.
 

@@ -391,6 +391,41 @@ def test_lp_search_tables_match_per_pair_reference(depth):
     assert checked >= 4
 
 
+def _chain(space, sizes):
+    """Nested subsets of the first points of ``space``, of these sizes."""
+    return MetricTuple(space, tuple(space.subset(range(k)) for k in sizes))
+
+
+@pytest.mark.parametrize("sizes", [((1, 1, 3), (1, 2, 5)), ((1, 1, 1), (1, 3, 4)), ((2, 2, 4), (1, 1, 2))])
+def test_padded_domains_match_per_pair_reference(sizes):
+    # singleton levels pad their domains from width 1 up to the widest, f's or g's
+    rng = np.random.default_rng(45)
+    left, right = random_space(rng, 4, hi=3.0), random_space(rng, 5, hi=3.0)
+    system, tol = _tuple_system(_chain(left, sizes[0]), _chain(right, sizes[1]))
+    assert len({len(d) for d in system.domlists}) >= 3
+    _assert_tables_match_reference(system, 4)
+    m, big = system.pair_min.max(), system.pair_max.max()
+    for total in (m / 2, m, (m + big) / 2):
+        _assert_masks_match_reference(system, np.where(np.eye(4, dtype=bool), 2 * total, total) + tol)
+
+
+def test_masks_build_one_packed_tensor_per_distinct_threshold(monkeypatch):
+    rng = np.random.default_rng(46)
+    left, right = random_space(rng, 4), random_space(rng, 4)
+    system, _ = _tuple_system(_chain(left, (1, 2, 3)), _chain(right, (1, 2, 3)))
+    calls = []
+    packed = _MaskSearch._packed
+    monkeypatch.setattr(_MaskSearch, "_packed", lambda self, theta: calls.append(theta) or packed(self, theta))
+    # at the diameter no pair is hopeless, so every step builds its masks
+    total = max(left.diameter, right.diameter)
+    system.decide(total, system.class_floor(4).tolist())
+    assert len(calls) == 2  # within a class and across classes, not one per class pair
+    calls.clear()
+    caps = [total, 2 * total, 4 * total, 8 * total]  # pairwise sums all differ
+    assert system.feasible(caps) is not None
+    assert len(calls) == len(set(calls)) == 4 * 5 // 2
+
+
 def test_decision_search_matches_brute_force_min_cost():
     # integer weights make ties, so several assignments often share the optimum
     rng = np.random.default_rng(71)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,9 @@ from metric_pairs import (
     shortest_path_closure,
     validate_metric,
 )
+from metric_pairs.metric_core import _fw_fixpoint
 
+import oracles
 from conftest import line_space, random_space
 
 
@@ -167,3 +171,37 @@ def test_subset_ref_validation():
     space = line_space([0, 1])
     with pytest.raises(InvalidSubset):
         space.subset([5])
+
+
+def _gluing_graph(rng, n_left, n_right, edges):
+    """The union graph ``glue_from_constraints`` closes: both spaces and
+    ``edges`` cross edges, some of cap zero; inf marks the missing ones."""
+    left, right = random_space(rng, n_left), random_space(rng, n_right)
+    big = np.full((n_left + n_right, n_left + n_right), np.inf)
+    big[:n_left, :n_left], big[n_left:, n_left:] = left.dist, right.dist
+    for _ in range(edges):
+        i, j = int(rng.integers(n_left)), n_left + int(rng.integers(n_right))
+        cap = 0.0 if rng.uniform() < 0.3 else float(rng.uniform(0.0, 12.0))
+        big[i, j] = big[j, i] = min(big[i, j], cap)
+    return big
+
+
+def test_closure_matches_plain_loop_floyd_warshall_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        n_left, n_right = (int(x) for x in rng.integers(1, 7, size=2))
+        big = _gluing_graph(rng, n_left, n_right, int(rng.integers(0, 5)))
+        assert _fw_fixpoint(big).tobytes() == oracles.floyd_warshall_fixpoint(big).tobytes()
+
+
+def test_closure_holds_no_cubic_temporary():
+    # an N^3 rewrite (min-plus products, a (N, N, N) via) would peak at about N x the matrix
+    big = _gluing_graph(np.random.default_rng(62), 62, 62, 40)
+    tracemalloc.start()
+    try:
+        closed = _fw_fixpoint(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(closed).all()
+    assert peak < 8 * big.nbytes, (peak, big.nbytes)
