@@ -489,10 +489,11 @@ class _MaskSearch:
         tol; returns (hit, retry). ``floor`` is ``class_floor`` as nested lists.
 
         An assignment's cost is at least each of its mismatches across classes
-        and half of each within a class, so masks at 2 * total + tol within a
-        class and total + tol across classes, and their arc-consistent
-        domains, lose no assignment costing at most total + tol / 2: a
-        refutation proves that every assignment costs more. The cost couples
+        and half of each within a class, so masks at 2 * (total + tol) within
+        a class and total + tol across classes, and their arc-consistent
+        domains, lose no assignment costing at most total + tol, the bound the
+        hook applies: a refutation proves that every assignment costs more
+        than total + tol. The cost couples
         the classes, so all variables form one most-constrained-first search
         with no component split. Its hook carries the running maxima down and
         drops a value once they grow past the total.
@@ -506,12 +507,11 @@ class _MaskSearch:
         the arc-consistent domains, the search order and every hook verdict
         are the ones here, so every total in [total, retry) is refuted too.
         """
-        theta = np.where(np.eye(len(floor), dtype=bool), 2 * total, total) + self.tol
-        pruned = self._pruned(theta)
+        bound = total + self.tol
+        pruned = self._pruned(np.where(np.eye(len(floor), dtype=bool), 2 * bound, bound))
         if pruned is None:
             return None, self._next_mask_level(total)
         (rows, _), doms = pruned
-        bound = total + self.tol
         cls, left, right, dl, dr = self._cls.tolist(), self._left_at, self._right_at, self._dl_rows, self._dr_rows
         last = self.nvars - 1
         final = []
@@ -549,13 +549,13 @@ class _MaskSearch:
 
     def _next_mask_level(self, total):
         """The smallest total above ``total`` at which ``decide`` builds other
-        masks: (d1 - tol) / 2 for the first mismatch d1 above 2 * total + tol,
+        masks: d1 / 2 - tol for the first mismatch d1 above 2 * (total + tol),
         or d2 - tol for the first mismatch d2 above total + tol. Each scan
         allocates one boolean copy of ``d_ll``, an eighth of its bytes."""
-        d_ll, tol = self.d_ll, self.tol
-        within = np.min(d_ll, where=d_ll > 2 * total + tol, initial=np.inf)
-        across = np.min(d_ll, where=d_ll > total + tol, initial=np.inf)
-        return float(min((within - tol) / 2, across - tol))
+        d_ll, bound = self.d_ll, total + self.tol
+        within = np.min(d_ll, where=d_ll > 2 * bound, initial=np.inf)
+        across = np.min(d_ll, where=d_ll > bound, initial=np.inf)
+        return float(min(within / 2, across) - self.tol)
 
 
 def _lp_min_total(m):

@@ -456,14 +456,32 @@ def test_decision_search_matches_brute_force_min_cost():
                 assert np.array_equal(m, maxima)
                 assert oracles.lp_min_total_vertices(m) <= total + tol
             else:
-                # every total below retry refutes too, so nothing costs less
-                # than retry + tol / 2; not retry + tol, since an assignment
-                # whose cost is half a mismatch d within a class passes the
-                # masks only from (d - tol) / 2 = cost - tol / 2 on
+                # every total below retry refutes too, and a refutation at T
+                # proves that every assignment costs more than T + tol
                 assert total < retry
-                assert retry + tol / 2 <= best + 1e-12, (total, retry, best)
+                assert retry + tol <= best + 1e-12, (total, retry, best)
                 assert system.decide((total + retry) / 2, floor)[0] is None
     assert True in verdicts and False in verdicts
+
+
+def test_decision_hits_within_tol_below_the_optimum():
+    # masks within a class at 2 * (T + tol) agree with the hook's T + tol, so
+    # an optimum set by half a within-class mismatch is found from best - tol
+    # on; masks at 2T + tol refuted it up to best - tol / 2
+    rng = np.random.default_rng(73)
+    hits = 0
+    for k in range(60):
+        n_left, n_right = ((2, 2), (2, 3), (3, 2))[k % 3]
+        p, q = _integer_pair(rng, n_left), _integer_pair(rng, n_right)
+        system, tol = _tuple_system(MetricTuple(p.space, (p.a,)), MetricTuple(q.space, (q.a,)))
+        best = oracles.compact_min_cost(p.space.dist, q.space.dist, [p.a.indices], [q.a.indices])
+        if best == 0.0:
+            continue
+        hit, retry = system.decide(best - 0.75 * tol, system.class_floor(2).tolist())
+        assert hit is not None and retry is None, (k, best)
+        assert oracles.lp_min_total_vertices(hit[1]) <= best - 0.75 * tol + tol
+        hits += 1
+    assert hits >= 40
 
 
 def test_lp_closed_forms_match_vertex_enumeration():
