@@ -95,10 +95,6 @@ def build_parser():
     return parser
 
 
-def _bracket_result(bracket):
-    return formats.bracket_doc(bracket)
-
-
 def _run_validate(args):
     try:
         space = formats.load_space(args.inputs[0])
@@ -130,14 +126,14 @@ def _run_gh(args):
         p = formats.load_pair(args.inputs[0])
         q = formats.load_pair(args.inputs[1])
         bracket = gh_compact_pair(p, q, args.resolution, args.budget)
-    return EXIT_OK, _bracket_result(bracket)
+    return EXIT_OK, formats.bracket_doc(bracket)
 
 
 def _run_gh_truncated(args):
     p = formats.load_pair(args.inputs[0])
     q = formats.load_pair(args.inputs[1])
     bracket = gh_truncated_pair(p, q, args.resolution, args.budget)
-    return EXIT_OK, _bracket_result(bracket)
+    return EXIT_OK, formats.bracket_doc(bracket)
 
 
 def _run_approx(args):
@@ -156,7 +152,7 @@ def _run_approx(args):
     if args.resolution is None:
         raise formats.ParseError("approx", "needs --eps (search) or --resolution (minimize)")
     bracket = min_approx_eps(p, q, args.resolution, args.budget)
-    return EXIT_OK, _bracket_result(bracket)
+    return EXIT_OK, formats.bracket_doc(bracket)
 
 
 def _run_rough_isom(args):

@@ -24,9 +24,13 @@ backtracking runs only on the components that binding pairs connect.
 
 One forward-checking kernel, ``_backtrack``, serves every map search: cap
 assignments, approximations, rough isometries, isometries and convergence
-checks are each bitmask domains, a table of pairwise-compatible values and a
-check on complete assignments, and each is a single search. The compact pair
-and tuple distances add a per-node hook: it carries the running per-class
+checks are each bitmask domains and a table of pairwise-compatible values,
+and each is a single search. Image clauses ("f(A) comes eps-close to every
+point of B") are not pairwise; approximations, rough isometries and
+convergence checks forward-check them with one per-node hook,
+``_image_hook``, which drops a value once some target lies beyond eps of
+every value the clause's image variables can still take. The compact pair
+and tuple distances add a hook of their own: it carries the running per-class
 mismatch maxima down the search and prunes once their LP-minimal cap total
 exceeds the bisected total. That LP optimum is half a maximum-weight
 assignment of the maxima, which the Hungarian method finds exactly, so the
@@ -34,8 +38,8 @@ solvers need numpy alone. A refuted step also reports the next total at
 which the same search could decide otherwise, and the bisection's lower end
 moves there. An approximation pair (f, g) is one search over
 the variables of f, then those of g, with the composition clauses as binary
-constraints between them; its hook drops a value once f(A) can no longer
-come eps-close to every point of B, or g(B) to every point of A.
+constraints between them and two image clauses: f(A) near B and g(B) near A.
+A truncated pair is the depth-1 tuple layout with both caps at eps.
 """
 
 import copy
@@ -183,7 +187,7 @@ def _compat_table(mismatch, bound):
     return (mismatch <= bound).astype(np.int64) @ _bit_weights(mismatch.shape[3])
 
 
-def _backtrack(todo, doms, rows, tick, lexicographic=True, leaf=None, hook=None, state=None):
+def _backtrack(todo, doms, rows, tick, lexicographic=True, hook=None, state=None):
     """Forward-checking backtracking over bitmask domains: an assignment of
     the variables ``todo`` as {variable: value}, or None.
 
@@ -193,19 +197,20 @@ def _backtrack(todo, doms, rows, tick, lexicographic=True, leaf=None, hook=None,
     list the first time the search visits value p of i, so a search pays for
     the values it visits, not for the whole tensor. Assigning a value prunes
     every unassigned domain, and a wipeout drops the value, so only subtrees
-    holding no compatible assignment are skipped. ``leaf`` may reject a
-    complete assignment. ``tick`` is called once per value tried.
+    holding no compatible assignment are skipped. ``tick`` is called once
+    per value tried.
 
     ``hook(state, i, p, out, doms)`` may carry a state down the search:
     given the state of the partial assignment ``out``, it returns the state
     once variable i takes value p, or None to drop that value; ``doms`` holds
     the pruned domains of the variables still unassigned. ``state`` belongs
-    to the empty assignment.
+    to the empty assignment. A solution is a complete assignment of
+    compatible values that the hook accepted at every step.
 
     Lexicographic mode assigns the variables in the order of ``todo`` with
     values ascending, so the assignment returned is the lexicographically
-    first one that ``leaf`` accepts; otherwise the most constrained variable
-    is assigned first, which refutes far faster and cannot change a verdict.
+    first solution; otherwise the most constrained variable is assigned
+    first, which refutes far faster and cannot change a verdict.
     """
     if any(doms[i] == 0 for i in todo):
         return None
@@ -215,7 +220,7 @@ def _backtrack(todo, doms, rows, tick, lexicographic=True, leaf=None, hook=None,
 
     def rec(doms, todo, state):
         if not todo:
-            return leaf is None or leaf(out)
+            return True
         if lexicographic:
             level = todo[0]
         else:
@@ -273,8 +278,7 @@ class _MaskSearch:
     * ``_build_masks`` turns a per-class-pair threshold matrix into one
       (V, V, n) row tensor of allowed-value bitmasks, gathered through a
       slot index from one packed tensor per distinct threshold, over the
-      union of both spaces' points. Those do not depend on the variables,
-      so ``subsystem`` shares their cache.
+      union of both spaces' points.
 
     Every query first prunes all domains to the greatest arc-consistent ones
     with a bit-parallel fixpoint over the row tensor. A query at fixed caps
@@ -287,7 +291,6 @@ class _MaskSearch:
     caps instead of each cap.
     """
 
-    _TENSOR_KEEP = 16  # thresholds whose packed tensors stay cached
     _CHUNK = 1 << 16  # elements per gathered block
 
     def __init__(self, dl, dr, tol, budget):
@@ -299,7 +302,6 @@ class _MaskSearch:
         self.budget = budget
         self.d_ll = _mismatches(dl, dr)  # [x1, x2, y1, y2] = |d_L(x1, x2) - d_R(y1, y2)|
         self._bits = _bit_weights(max(nl, nr))
-        self._tensor_cache = {}
         self.vars = []  # (side, src, cls, domain_mask)
         self.meta = []  # (kind, key) labels for witness extraction
 
@@ -345,7 +347,7 @@ class _MaskSearch:
     def subsystem(self, keep):
         """The system restricted to the variables ``keep`` (ascending), in their
         order. Its tables are sub-matrices of this system's, and it shares the
-        family tensor, the packed-tensor cache and the budget."""
+        family tensor and the budget."""
         sub = copy.copy(self)
         sub.vars, sub.meta = [self.vars[k] for k in keep], [self.meta[k] for k in keep]
         sub.domlists = [self.domlists[k] for k in keep]
@@ -367,20 +369,14 @@ class _MaskSearch:
         the union of both spaces (left points first): [u, w, p] is the mask of
         values of a variable with source w compatible with value p of a
         variable with source u."""
-        cache = self._tensor_cache
-        packed = cache.get(theta)
-        if packed is None:
-            nl, nr = self.nl, self.nr
-            packed = np.zeros((nl + nr, nl + nr, len(self._bits)), dtype=np.int64)
-            ok = (self.d_ll <= theta).astype(np.int64)  # the one int64 copy
-            # x_rows[x1, x2, y1] masks the y2, y_rows[y1, y2, x1] the x2 within theta
-            x_rows = ok @ self._bits[:nr]
-            y_rows = ok.transpose(2, 3, 0, 1) @ self._bits[:nl]
-            packed[:nl, :nl, :nr], packed[nl:, :nl, :nl] = x_rows, x_rows.transpose(2, 1, 0)
-            packed[nl:, nl:, :nl], packed[:nl, nl:, :nr] = y_rows, y_rows.transpose(2, 1, 0)
-            if len(cache) >= self._TENSOR_KEEP:
-                del cache[next(iter(cache))]
-            cache[theta] = packed
+        nl, nr = self.nl, self.nr
+        packed = np.zeros((nl + nr, nl + nr, len(self._bits)), dtype=np.int64)
+        ok = (self.d_ll <= theta).astype(np.int64)  # the one int64 copy
+        # x_rows[x1, x2, y1] masks the y2, y_rows[y1, y2, x1] the x2 within theta
+        x_rows = ok @ self._bits[:nr]
+        y_rows = ok.transpose(2, 3, 0, 1) @ self._bits[:nl]
+        packed[:nl, :nl, :nr], packed[nl:, :nl, :nl] = x_rows, x_rows.transpose(2, 1, 0)
+        packed[nl:, nl:, :nl], packed[:nl, nl:, :nr] = y_rows, y_rows.transpose(2, 1, 0)
         return packed
 
     def _build_masks(self, theta):
@@ -605,23 +601,9 @@ def _lp_min_total(m):
     return weight / 2.0, [(u[i] + v[i]) / 2.0 for i in range(1, c + 1)]
 
 
-def _pair_vars(system, pair_l, pair_r):
-    """Truncated-pair layout, all in cap class 0: f on the left, g on the right,
-    then subset maps both ways. Fixed order keeps witnesses lexicographic."""
-    nl, nr = system.nl, system.nr
-    for x in range(nl):
-        system.add_var(0, x, 0, range(nr), "f", x)
-    for y in range(nr):
-        system.add_var(1, y, 0, range(nl), "g", y)
-    for a in pair_l.a.indices:
-        system.add_var(0, a, 0, pair_r.a.indices, "alpha", a)
-    for b in pair_r.a.indices:
-        system.add_var(1, b, 0, pair_l.a.indices, "beta", b)
-
-
 def _tuple_vars(system, tuple_t, tuple_u):
     """Tuple layout: f and g in class 0, then the subset maps of chain level k
-    both ways in class k + 1."""
+    both ways in class k + 1. Fixed order keeps witnesses lexicographic."""
     for x in range(system.nl):
         system.add_var(0, x, 0, range(system.nr), "f", x)
     for y in range(system.nr):
@@ -669,7 +651,7 @@ class _BallSystems:
         system, settled = entry
         if settled <= eps + eps + system.tol:
             return True
-        values = system.feasible((eps,))
+        values = system.feasible((eps, eps))
         if values is None:
             return False
         entry[1] = system.largest_mismatch(values)  # within this step's threshold, so below ``settled``
@@ -682,6 +664,14 @@ def _witness_dict(system, values, caps):
         w[kind][key] = int(val)  # keys are point indices, or (level, index) for tuples
     w["caps"] = [float(c) for c in caps]
     return w
+
+
+def _pair_witness(witness):
+    """A depth-1 tuple witness as a pair reports it: subset maps keyed by point index."""
+    witness = dict(witness)
+    for kind in ("alpha", "beta"):
+        witness[kind] = {a: v for (_, a), v in witness[kind].items()}
+    return witness
 
 
 def _certificate(left, right, system, values, caps):
@@ -756,11 +746,8 @@ def gh_compact_pair(pair_p, pair_q, resolution, budget=None):
     bracket = gh_compact_tuple(
         MetricTuple(pair_p.space, (pair_p.a,)), MetricTuple(pair_q.space, (pair_q.a,)), resolution, budget
     )
-    witness = dict(bracket.witness)
-    for kind in ("alpha", "beta"):
-        witness[kind] = {a: v for (_, a), v in witness[kind].items()}
     reason = bracket.lo_reason.replace("cap vector", "cap split")  # pair reports keep their wording
-    return replace(bracket, lo_reason=reason, witness=witness)
+    return replace(bracket, lo_reason=reason, witness=_pair_witness(bracket.witness))
 
 
 def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
@@ -842,8 +829,9 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
 
     Feasibility at eps caps every assigned edge at eps, with map domains
     restricted to the closed (1/eps)-balls of the distinguished subsets;
-    monotone bisection on eps, capped at 1/2. One system over all points is
-    built per call; each step searches its sub-system of the variables whose
+    monotone bisection on eps, capped at 1/2. One system over all points, in
+    the layout of the depth-1 tuples with both caps at eps, is built per
+    call; each step searches its sub-system of the variables whose
     source lies in the two balls, built once per pair of balls. Ball indices
     ascend, so the variables keep the order a system built on the balls alone
     would give them. A step that an assignment found earlier already
@@ -857,7 +845,7 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
     left, right = pair_p.space, pair_q.space
     tol = max(left.tol, right.tol)
     full = _MaskSearch(left.dist, right.dist, tol, bud)
-    _pair_vars(full, pair_p, pair_q)
+    _tuple_vars(full, MetricTuple(left, (pair_p.a,)), MetricTuple(right, (pair_q.a,)))
     full.finalize()
     systems = _BallSystems(full, pair_p, pair_q)
 
@@ -880,10 +868,10 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
         else:
             e_lo = mid
     system = systems.system(e_hi)
-    values = system.first_witness((e_hi,))
-    cert = _certificate(left, right, system, values, [e_hi])
+    values = system.first_witness((e_hi, e_hi))
+    cert = _certificate(left, right, system, values, (e_hi, e_hi))
     report = check_eps_admissible(cert, pair_p.a, pair_q.a, e_hi)
-    witness = _witness_dict(system, values, [e_hi])
+    witness = _pair_witness(_witness_dict(system, values, [e_hi]))
     witness["admissible"] = report.verdict
     return DistanceBracket(
         lo=float(e_lo),
@@ -901,9 +889,34 @@ def _le(value, bound, tol):
     return value <= bound + tol
 
 
-def _covers(dist, targets, images, eps, tol):
-    """Whether every target lies within eps of some image."""
-    return len(targets) == 0 or _le(float(dist[np.ix_(targets, images)].min(axis=1).max()), eps, tol)
+def _near_masks(dist, targets, bound):
+    """For each target t, the bitmask of points y with dist[t, y] <= bound."""
+    return ((dist[list(targets)] <= bound) @ _bit_weights(len(dist))).tolist()
+
+
+def _image_hook(clauses):
+    """A ``_backtrack`` hook forward-checking image clauses in a lexicographic search.
+
+    A clause (image_vars, near) holds its image variables, ascending, and per
+    target the bitmask of values within eps + tol of it. The hook drops a
+    value once some target misses every value the image variables can still
+    take. A clause whose last image variable is already assigned was settled
+    when it was assigned, and is skipped.
+    """
+
+    def hook(state, v, p, out, doms):
+        for image_vars, near in clauses:
+            if image_vars[-1] < v:
+                continue
+            reach = 0
+            for j in image_vars:
+                reach |= doms[j] if j > v else 1 << (p if j == v else out[j])
+            for mask in near:
+                if not mask & reach:
+                    return None
+        return state
+
+    return hook
 
 
 def approx_search(pair_p, pair_q, eps, budget=None):
@@ -950,23 +963,10 @@ def _approx_search(pair_p, pair_q, eps, limit, mismatch):
     g_after_f = np.where(np.eye(nr, dtype=bool), (near_l.T @ wl)[:, None, None], full_l)
     rows[:nl, nl:, :nr] = g_after_f & np.where(near_r.T, full_l, full_l ^ wl[:, None, None])
 
-    near_lb, near_rb = (near_l @ wl).tolist(), (near_r @ wr).tolist()
-    f_image, g_image = (a_idx, b_idx, near_rb), ([nl + b for b in b_idx], a_idx, near_lb)
-
-    def images_can_cover(state, v, p, out, doms):
-        # every point of B must stay within eps of a value f(A) can still take,
-        # and every point of A of a value g(B) can still take; f(A) is fixed
-        # once g is being assigned
-        for image_vars, targets, near in (f_image, g_image) if v < nl else (g_image,):
-            reach = 0
-            for j in image_vars:
-                reach |= doms[j] if j > v else 1 << (p if j == v else out[j])
-            for t in targets:
-                if not near[t] & reach:
-                    return None
-        return state
-
-    fg = _backtrack(list(range(nl + nr)), doms, rows, bud.tick, hook=images_can_cover, state=True)
+    # f(A) near every point of B, and g(B) near every point of A
+    f_image = (a_idx, _near_masks(dr, b_idx, bound))
+    g_image = ([nl + b for b in b_idx], _near_masks(dl, a_idx, bound))
+    fg = _backtrack(list(range(nl + nr)), doms, rows, bud.tick, hook=_image_hook([f_image, g_image]), state=True)
     if fg is None:
         return None
     return ApproximationPair(f=tuple(fg[x] for x in range(nl)), g=tuple(fg[nl + y] for y in range(nr)), eps=float(eps))
@@ -1096,23 +1096,16 @@ def rough_isometry_search(pair_p, pair_q, radius, eps, budget=None):
     dl, dr = left.dist, right.dist
     tol = max(left.tol, right.tol)
     dom = ball(left, pair_p.a, radius, "closed").indices
-    target = ball(right, pair_q.a, radius - eps, "closed")
-    if target is None:
-        return None
-    tgt = target.indices
-    b_idx = pair_q.a.indices
-    d_to_b = dr[:, b_idx].min(axis=1)
+    tgt = ball(right, pair_q.a, radius - eps, "closed").indices
+    d_to_b = dr[:, pair_q.a.indices].min(axis=1)
     a_set = set(pair_p.a.indices)
     in_tgt = sum(1 << y for y in tgt)
     near_b = sum(1 << y for y in tgt if _le(d_to_b[y], eps, tol))
     doms = [near_b if u in a_set else in_tgt for u in dom]
-
-    def images_cover(f):
-        img = list(f.values())
-        return _covers(dr, b_idx, img, eps, tol) and _covers(dr, tgt, img, eps, tol)
-
     rows = _compat_table(_mismatches(dl[np.ix_(dom, dom)], dr), eps + tol)
-    f = _backtrack(list(range(len(dom))), doms, rows, bud.tick, leaf=images_cover)
+    # the image comes eps-close to every point of the target ball, which holds B
+    covers = _image_hook([(range(len(dom)), _near_masks(dr, tgt, eps + tol))])
+    f = _backtrack(list(range(len(dom))), doms, rows, bud.tick, hook=covers, state=True)
     if f is None:
         return None
     return RoughIsometryWitness(
@@ -1159,22 +1152,20 @@ def verify_convergence(seq, target, sched, resolution=1e-3, budget=None):
         dl, dr = left.dist, right.dist
         tol = max(left.tol, right.tol)
         dom = ball(left, pair_i.a, r_i, "closed").indices
-        tgt_ball = ball(right, target.a, r_i, "closed")
-        tgt = tgt_ball.indices if tgt_ball is not None else ()
-        a_loc = [dom.index(a) for a in pair_i.a.indices]
+        tgt = ball(right, target.a, r_i, "closed").indices
+        all_vars, a_loc = list(range(len(dom))), [dom.index(a) for a in pair_i.a.indices]
         b_idx = target.a.indices
+        d_to_b = dr[:, b_idx].min(axis=1)
         mismatch = _mismatches(dl[np.ix_(dom, dom)], dr)
-        doms = [(1 << len(right)) - 1] * len(dom)
 
         def feasible(eps):
-            def images_cover(f):
-                img_a = sorted(set(f[i] for i in a_loc))
-                return _le(hausdorff_of_matrix(dr, tuple(img_a), b_idx), eps, tol) and _covers(
-                    dr, tgt, list(f.values()), eps, tol
-                )
-
-            rows = _compat_table(mismatch, eps + tol)
-            return _backtrack(list(range(len(dom))), doms, rows, bud.tick, leaf=images_cover) is not None
+            bound = eps + tol
+            near_b = int((d_to_b <= bound) @ _bit_weights(len(right)))
+            doms = [near_b if k in a_loc else (1 << len(right)) - 1 for k in all_vars]  # f(a) near B
+            rows = _compat_table(mismatch, bound)
+            # B near f(A), and the target ball near the whole image
+            covers = _image_hook([(a_loc, _near_masks(dr, b_idx, bound)), (all_vars, _near_masks(dr, tgt, bound))])
+            return _backtrack(all_vars, doms, rows, bud.tick, hook=covers, state=True) is not None
 
         passed = feasible(eps_i)
         e_lo, e_hi = 0.0, eps_i if passed else max(left.diameter, right.diameter, eps_i)

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .hausdorff import hausdorff_of_matrix
-from .metric_core import _fw_fixpoint, ball, check_subset, subset_distances
+from .metric_core import SubsetRef, _fw_fixpoint, ball, check_subset, subset_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,6 +233,4 @@ def transfer_subset(glue, a, n):
         raise PreconditionViolated("n must be a positive integer", n)
     check_subset(glue.left, a)
     picks = sorted({int(glue.cross[i, :].argmin()) for i in a.indices})
-    from .metric_core import SubsetRef
-
     return SubsetRef(tuple(picks))

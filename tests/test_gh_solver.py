@@ -38,7 +38,6 @@ from metric_pairs.gh_solver import (
     _Budget,
     _lp_min_total,
     _MaskSearch,
-    _pair_vars,
     _tuple_vars,
 )
 
@@ -573,7 +572,7 @@ def test_truncated_subsystems_equal_systems_built_on_the_balls():
         p, q = _pair(left, a), _pair(right, a)
         tol = max(left.tol, right.tol)
         full = _MaskSearch(left.dist, right.dist, tol, _Budget(10**6))
-        _pair_vars(full, p, q)
+        _tuple_vars(full, MetricTuple(left, (p.a,)), MetricTuple(right, (q.a,)))
         full.finalize()
         systems, by_balls = _BallSystems(full, p, q), {}
         for eps in (0.5, 0.3, 0.2, 0.12, 0.08, 0.07):
@@ -586,9 +585,9 @@ def test_truncated_subsystems_equal_systems_built_on_the_balls():
             for y in ball_r:
                 ref.add_var(1, y, 0, range(5), "g", y)
             for x in a:
-                ref.add_var(0, x, 0, a, "alpha", x)
+                ref.add_var(0, x, 1, a, "alpha", (0, x))
             for y in a:
-                ref.add_var(1, y, 0, a, "beta", y)
+                ref.add_var(1, y, 1, a, "beta", (0, y))
             ref.finalize()
             seen.add((len(ball_l), len(ball_r)))
             # eps values with the same balls get the same sub-system, and only they do
@@ -599,14 +598,14 @@ def test_truncated_subsystems_equal_systems_built_on_the_balls():
             assert sub.vars == ref.vars and sub.meta == ref.meta
             assert np.array_equal(sub.pair_min, ref.pair_min)
             assert np.array_equal(sub.pair_max, ref.pair_max)
-            theta = np.array([[2 * eps + tol]])
+            theta = np.full((2, 2), 2 * eps + tol)
             got, want = sub._build_masks(theta), ref._build_masks(theta)
             assert (got is None) == (want is None)
             if got is not None:
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             # a verdict settled by an earlier step's assignment is the search's verdict
-            assert systems.feasible(eps) == (ref.feasible((eps,)) is not None)
-            assert sub.first_witness((eps,)) == ref.first_witness((eps,))
+            assert systems.feasible(eps) == (ref.feasible((eps, eps)) is not None)
+            assert sub.first_witness((eps, eps)) == ref.first_witness((eps, eps))
     assert len(seen) > 1  # some balls cut points off
     assert shared > 0
 
@@ -887,6 +886,21 @@ def test_rough_isometry_not_found_when_truncated_distance_forbids():
     bound = max(3 * eps, 1.0 / (radius - eps))
     assert bracket.lo > bound
     assert rough_isometry_search(p, q, radius, eps) is None
+
+
+# The ball maps of distortion 0.3 send all twelve left points near 0, so no
+# image reaches 5 or 10. Forward-checking the covering clause refutes each
+# search at its first variable; a check on complete maps alone would try
+# thousands of them and exceed the budget.
+def test_image_clauses_refute_before_complete_maps():
+    left, right = line_space(np.arange(12) * 0.001), line_space([0.0, 0.1, 5.0, 10.0])
+    p, q = _pair(left, [0]), _pair(right, [0])
+    assert rough_isometry_search(p, q, 20.0, 0.3, budget=50) is None
+    assert rough_isometry_search(p, q, 20.0, 0.3, budget=10**7) is None
+    sched = ConvergenceSchedule((0.3,), (20.0,))
+    report = verify_convergence([p], q, sched, resolution=1.0, budget=50)
+    assert report == verify_convergence([p], q, sched, resolution=1.0, budget=10**7)
+    assert not report["indices"][0]["passed"]
 
 
 def test_verify_convergence_searches_a_passing_eps_once(monkeypatch):
