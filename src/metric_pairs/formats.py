@@ -30,14 +30,19 @@ def _as_doc(source, text=None):
     if text is not None:
         raw = text
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        except UnicodeDecodeError:
+            raise ParseError(source, "not UTF-8 text") from None
     stripped = raw.lstrip()
     if stripped.startswith("{"):
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ParseError(source, f"bad JSON at line {exc.lineno}") from None
+        except ValueError:  # an integer literal past the interpreter's digit limit
+            raise ParseError(source, "bad JSON number") from None
     return {"_csv": raw}
 
 
@@ -48,6 +53,27 @@ def _field(source, doc, key, kind):
         raise ParseError(source, f"{kind} document needs '{key}'") from None
 
 
+def _of_type(source, value, kind, what):
+    """``value`` if its JSON type is exactly ``kind``: a string is not a list, nor a bool."""
+    if type(value) is not kind:
+        raise ParseError(source, f"{what} must be a {kind.__name__}")
+    return value
+
+
+def _numbers(source, rows, need):
+    """``rows``, equally long lists of JSON numbers (no bools, no strings), as
+    a float array; ``need`` says what the document should hold instead."""
+    if type(rows) is not list or any(
+        type(row) is not list or len(row) != len(rows[0]) or any(type(x) not in (int, float) for x in row)
+        for row in rows
+    ):
+        raise ParseError(source, need)
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError:  # an integer too large for a float
+        raise ParseError(source, f"{need}, of float range") from None
+
+
 def load_space(source, text=None):
     doc = _as_doc(source, text)
     if "_csv" in doc:
@@ -56,11 +82,13 @@ def load_space(source, text=None):
 
 
 def space_from_doc(source, doc):
-    labels = _field(source, doc, "labels", "space")
-    dist = _field(source, doc, "dist", "space")
+    labels = _of_type(source, _field(source, doc, "labels", "space"), list, "'labels'")
+    dist = _numbers(source, _field(source, doc, "dist", "space"), "'dist' must be equally long lists of numbers")
     tol = doc.get("tolerance")
-    pseudo = bool(doc.get("pseudo", False))
-    return validate_metric(np.asarray(dist, dtype=float), tol=tol, labels=labels, pseudo=pseudo)
+    if tol is not None:
+        tol = _numbers(source, [[tol]], "'tolerance' must be a number")[0, 0]
+    pseudo = _of_type(source, doc.get("pseudo", False), bool, "'pseudo'")
+    return validate_metric(dist, tol=tol, labels=labels, pseudo=pseudo)
 
 
 def _space_from_csv(source, raw):
@@ -101,6 +129,7 @@ def space_csv(space):
 
 
 def _labels_to_subset(source, space, labels):
+    labels = _of_type(source, labels, list, "a subset")
     try:
         return space.subset(space.index_of(lab) for lab in labels)
     except MetricPairsError as exc:
@@ -125,7 +154,8 @@ def pair_doc(pair):
 def load_tuple(source, text=None):
     doc = _as_doc(source, text)
     space = space_from_doc(source, _field(source, doc, "space", "tuple"))
-    chain = tuple(_labels_to_subset(source, space, level) for level in _field(source, doc, "chain", "tuple"))
+    levels = _of_type(source, _field(source, doc, "chain", "tuple"), list, "'chain'")
+    chain = tuple(_labels_to_subset(source, space, level) for level in levels)
     return MetricTuple(space, chain)
 
 
@@ -138,12 +168,12 @@ def tuple_doc(mt):
 
 def load_gluing(source, text=None, left=None, right=None):
     doc = _as_doc(source, text)
-    cross = np.asarray(_field(source, doc, "cross", "gluing"), dtype=float)
+    cross = _numbers(source, _field(source, doc, "cross", "gluing"), "'cross' must be equally long lists of numbers")
     if left is None:
         left = space_from_doc(source, _field(source, doc, "left", "gluing"))
     if right is None:
         right = space_from_doc(source, _field(source, doc, "right", "gluing"))
-    return CrossMetric(left, right, cross, pseudo=bool(doc.get("pseudo", False)))
+    return CrossMetric(left, right, cross, pseudo=_of_type(source, doc.get("pseudo", False), bool, "'pseudo'"))
 
 
 def gluing_doc(glue):
@@ -159,19 +189,24 @@ def load_chain(source, text=None):
     from .chain_lab import build_chain
 
     doc = _as_doc(source, text)
-    pdocs, gdocs, budgets = (_field(source, doc, key, "chain") for key in ("pairs", "glues", "eps_budget"))
+    pdocs, gdocs = (_of_type(source, _field(source, doc, k, "chain"), list, f"'{k}'") for k in ("pairs", "glues"))
+    budgets = _field(source, doc, "eps_budget", "chain")
+    budgets = _numbers(source, [budgets], "'eps_budget' must be a list of numbers")[0]
     pairs = []
     for pdoc in pdocs:
         space = space_from_doc(source, _field(source, pdoc, "space", "chain pair"))
         subset = _field(source, pdoc, "subset", "chain pair")
         pairs.append(MetricPair(space, _labels_to_subset(source, space, subset)))
+    if len(gdocs) != len(pairs) - 1:
+        raise ParseError(source, "a chain needs one gluing per consecutive pair")
     glues = []
     for i, gdoc in enumerate(gdocs):
+        _of_type(source, gdoc, dict, "each of 'glues'")  # a string here would name a file
         # inside a chain the member spaces stand in for omitted sides
         left = pairs[i].space if "left" not in gdoc else None
         right = pairs[i + 1].space if "right" not in gdoc else None
         glues.append(load_gluing(gdoc, left=left, right=right))
-    return build_chain(pairs, glues, [float(e) for e in budgets])
+    return build_chain(pairs, glues, budgets.tolist())
 
 
 def chain_doc(chain):

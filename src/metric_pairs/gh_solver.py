@@ -20,7 +20,7 @@ materialized (and re-validated) through glue_from_constraints.
 At fixed caps the condition becomes one tensor of allowed-value bitmasks per
 query, one row per ordered variable pair. A bit-parallel arc-consistency
 fixpoint over that tensor refutes most infeasible caps before any search, and
-backtracking runs only on the components that binding pairs connect.
+one backtracking search over all variables decides the rest.
 
 One forward-checking kernel, ``_backtrack``, serves every map search: cap
 assignments, approximations, rough isometries, isometries and convergence
@@ -265,30 +265,28 @@ class _MaskSearch:
 
     ``finalize`` builds every table a search needs once, in bulk. Each
     variable's domain is padded to one width by repeating its first value,
-    which a minimum or a maximum ignores. The mismatch of variables i and j
-    at their p-th and q-th values then sits at ``head[i, p] + tail[j, q]`` of
-    the flattened family tensor, where ``head`` holds the flat offsets of the
-    induced point pair's first entries and ``tail`` those of its second
-    ones. One gather at that index map, in row chunks over the upper columns
-    so that no temporary approaches the size of the family tensor, gives:
+    which a minimum ignores. The mismatch of variables i and j at their p-th
+    and q-th values then sits at ``head[i, p] + tail[j, q]`` of the flattened
+    family tensor, where ``head`` holds the flat offsets of the induced point
+    pair's first entries and ``tail`` those of its second ones. One gather at
+    that index map, in row chunks over the upper columns so that no temporary
+    approaches the size of the family tensor, gives ``pair_min[i, j]`` (i < j;
+    zero on and below the diagonal), the smallest mismatch over both domains.
 
-    * ``pair_min[i, j]`` (i < j; zero on and below the diagonal), the
-      smallest mismatch over both domains, and ``pair_max`` (symmetric, zero
-      diagonal), the largest;
-    * ``_build_masks`` turns a per-class-pair threshold matrix into one
-      (V, V, n) row tensor of allowed-value bitmasks, gathered through a
-      slot index from one packed tensor per distinct threshold, over the
-      union of both spaces' points.
+    ``_build_masks`` turns a per-class-pair threshold matrix into one
+    (V, V, n) row tensor of allowed-value bitmasks, gathered through a slot
+    index from one packed tensor per distinct threshold, over the union of
+    both spaces' points.
 
     Every query first prunes all domains to the greatest arc-consistent ones
-    with a bit-parallel fixpoint over the row tensor. A query at fixed caps
-    uses the thresholds caps_i + caps_j + tol and searches the variables
-    linked by no binding pair as separate components: ``feasible`` assigns
-    the most constrained variable first (much faster at refuting, and the
-    verdict cannot depend on order), and ``first_witness`` explores variables
-    in their fixed order with values ascending, so the assignment it returns
-    is the lexicographically first one. ``decide`` bounds the total of the
-    caps instead of each cap.
+    with a bit-parallel fixpoint over the row tensor, then runs one
+    ``_backtrack`` over all variables. A query at fixed caps uses the
+    thresholds caps_i + caps_j + tol: ``feasible`` assigns the most
+    constrained variable first (much faster at refuting, and the verdict
+    cannot depend on order), and ``first_witness`` explores variables in
+    their fixed order with values ascending, so the assignment it returns is
+    the lexicographically first one. ``decide`` bounds the total of the caps
+    instead of each cap.
     """
 
     _CHUNK = 1 << 16  # elements per gathered block
@@ -321,25 +319,23 @@ class _MaskSearch:
         values = np.arange(len(self._bits))
         self._left_at = np.where(side == 0, src, values).tolist()
         self._right_at = np.where(side == 0, values, src).tolist()
-        # the same per domain position, padded with the first value, which min and max ignore
+        # the same per domain position, padded with the first value, which a minimum ignores
         width = max(map(len, self.domlists))
         dom = np.array([d + d[:1] * (width - len(d)) for d in self.domlists])
         left, right = np.where(side == 0, src, dom), np.where(side == 0, dom, src)
         head, tail = (left * self.nl * self.nr + right) * self.nr, left * self.nr * self.nr + right
         v, flat = len(self.vars), self.d_ll.reshape(-1)
-        pair_min, pair_max = np.zeros((v, v)), np.zeros((v, v))
+        pair_min = np.zeros((v, v))
         step = max(1, self._CHUNK // (v * width * width))
         for start in range(0, v - 1, step):
             rows, cols = slice(start, min(start + step, v - 1)), slice(start + 1, None)
-            block = flat[head[rows, None, :, None] + tail[None, cols, None, :]]
-            pair_min[rows, cols], pair_max[rows, cols] = block.min(axis=(2, 3)), block.max(axis=(2, 3))
-        pair_max = np.triu(pair_max, 1)
-        self._tables(np.triu(pair_min, 1), pair_max + pair_max.T)
+            pair_min[rows, cols] = flat[head[rows, None, :, None] + tail[None, cols, None, :]].min(axis=(2, 3))
+        self._tables(np.triu(pair_min, 1))
 
-    def _tables(self, pair_min, pair_max):
-        """Both pair tables, and the upper-triangle views the mask builder tests."""
+    def _tables(self, pair_min):
+        """The pair table, and the upper-triangle views the mask builder tests."""
         self.nvars = v = len(self.vars)
-        self.pair_min, self.pair_max = pair_min, pair_max
+        self.pair_min = pair_min
         upper = np.triu_indices(v, 1)
         self._pair_min_upper = pair_min[upper]
         self._cls_upper = (self._cls[upper[0]], self._cls[upper[1]])
@@ -353,8 +349,7 @@ class _MaskSearch:
         sub.domlists = [self.domlists[k] for k in keep]
         sub._cls, sub._point, sub._full = self._cls[keep], self._point[keep], self._full[keep]
         sub._left_at, sub._right_at = [self._left_at[k] for k in keep], [self._right_at[k] for k in keep]
-        sel = np.ix_(keep, keep)
-        sub._tables(self.pair_min[sel], self.pair_max[sel])
+        sub._tables(self.pair_min[np.ix_(keep, keep)])
         return sub
 
     def class_floor(self, n_classes):
@@ -380,9 +375,8 @@ class _MaskSearch:
         return packed
 
     def _build_masks(self, theta):
-        """Row tensor at a per-class-pair threshold matrix, and the thresholds
-        of every variable pair; None when some pair's smallest mismatch
-        already exceeds its threshold.
+        """Row tensor at a per-class-pair threshold matrix; None when some
+        pair's smallest mismatch already exceeds its threshold.
 
         Row tensor entry [i, j, p] is the bitmask of values of variable j
         compatible with value p of variable i.
@@ -393,9 +387,7 @@ class _MaskSearch:
         levels = list(dict.fromkeys(flat))  # one packed tensor per distinct threshold
         stack = np.stack([self._packed(t) for t in levels])
         slot = np.array([levels.index(t) for t in flat]).reshape(theta.shape)
-        ci, cj = self._cls[:, None], self._cls[None, :]
-        rows = stack[slot[ci, cj], self._point[:, None], self._point[None, :]]
-        return rows, theta[ci, cj]
+        return stack[slot[self._cls[:, None], self._cls[None, :]], self._point[:, None], self._point[None, :]]
 
     def _arc_consistent(self, rows):
         """Greatest arc-consistent domains, or None on a wipeout.
@@ -418,52 +410,21 @@ class _MaskSearch:
 
     def _pruned(self, theta):
         """Masks and arc-consistent domains at a per-class-pair threshold
-        matrix, as ((rows, pair thresholds), domains); None when refuted
-        before any search."""
-        built = self._build_masks(theta)
-        if built is None:
+        matrix, as (rows, domains); None when refuted before any search."""
+        rows = self._build_masks(theta)
+        if rows is None:
             return None
-        doms = self._arc_consistent(built[0])
-        return None if doms is None else (built, doms)
+        doms = self._arc_consistent(rows)
+        return None if doms is None else (rows, doms)
 
-    def _components(self, theta):
-        """Variables linked by a binding pair; saturated pairs decouple.
-
-        A pair binds when some values of its domains mismatch by more than
-        its threshold. Splitting matters: caps that leave one class
-        unconstrained would otherwise multiply every refutation of the other
-        class by the full product of untouched domains.
-        """
-        binding = self.pair_max > theta
-        unseen = np.ones(self.nvars, dtype=bool)
-        comps = []
-        for start in range(self.nvars):
-            if not unseen[start]:
-                continue
-            reach = np.zeros(self.nvars, dtype=bool)
-            reach[start] = True
-            front = reach.copy()
-            while front.any():
-                front = binding[front].any(axis=0) & ~reach
-                reach |= front
-            unseen &= ~reach
-            comps.append(np.flatnonzero(reach).tolist())
-        return comps
-
-    def _assemble(self, budgets, lexicographic):
+    def _search_at_caps(self, budgets, lexicographic):
         caps = np.asarray(budgets, dtype=float)
         pruned = self._pruned(caps[:, None] + caps[None, :] + self.tol)
         if pruned is None:
-            return None  # refuted before any component is searched
-        (rows, theta), doms = pruned
-        out = [None] * self.nvars
-        for comp in self._components(theta):
-            got = _backtrack(comp, doms, rows, self.budget.tick, lexicographic)
-            if got is None:
-                return None
-            for i, p in got.items():
-                out[i] = p
-        return out
+            return None
+        rows, doms = pruned
+        got = _backtrack(list(range(self.nvars)), doms, rows, self.budget.tick, lexicographic)
+        return None if got is None else [got[i] for i in range(self.nvars)]
 
     def largest_mismatch(self, values):
         """The largest mismatch between two variables at these values, the
@@ -474,11 +435,11 @@ class _MaskSearch:
 
     def feasible(self, budgets):
         """Some satisfying assignment at these caps, or None (fast refutation)."""
-        return self._assemble(budgets, lexicographic=False)
+        return self._search_at_caps(budgets, lexicographic=False)
 
     def first_witness(self, budgets):
         """The lexicographically first satisfying assignment, or None."""
-        return self._assemble(budgets, lexicographic=True)
+        return self._search_at_caps(budgets, lexicographic=True)
 
     def decide(self, total, floor):
         """Search for an assignment whose caps can total at most ``total`` +
@@ -489,10 +450,9 @@ class _MaskSearch:
         a class and total + tol across classes, and their arc-consistent
         domains, lose no assignment costing at most total + tol, the bound the
         hook applies: a refutation proves that every assignment costs more
-        than total + tol. The cost couples
-        the classes, so all variables form one most-constrained-first search
-        with no component split. Its hook carries the running maxima down and
-        drops a value once they grow past the total.
+        than total + tol. All variables form one most-constrained-first
+        search, whose hook carries the running maxima down and drops a value
+        once they grow past the total.
 
         A hit is (values, maxima) with retry None: ``maxima`` are the
         assignment's per-class-pair mismatch maxima, and their
@@ -507,7 +467,7 @@ class _MaskSearch:
         pruned = self._pruned(np.where(np.eye(len(floor), dtype=bool), 2 * bound, bound))
         if pruned is None:
             return None, self._next_mask_level(total)
-        (rows, _), doms = pruned
+        rows, doms = pruned
         cls, left, right, dl, dr = self._cls.tolist(), self._left_at, self._right_at, self._dl_rows, self._dr_rows
         last = self.nvars - 1
         final = []

@@ -142,13 +142,16 @@ def validate_metric(matrix, tol=None, labels=None, pseudo=False):
     """Validate a square matrix and wrap it as a FiniteMetricSpace.
 
     Raises MetricValidationError carrying the full violation list otherwise.
-    The default tolerance is 1e-9 times the largest entry.
+    The default tolerance is 1e-9 times the largest entry; a given one must
+    be finite and nonnegative, so that a closed ball holds its centre.
     """
     m = np.asarray(matrix, dtype=float)
     if tol is None:
         tol = DEFAULT_TOL_FACTOR * float(m.max(initial=0.0))
     if tol < 0:
         raise MetricValidationError([MetricViolation("negative_tolerance", (tol,))])
+    if not np.isfinite(tol):
+        raise MetricValidationError([MetricViolation("non_finite_tolerance", (tol,))])
     violations = find_violations(m, tol, pseudo=pseudo)
     if violations:
         raise MetricValidationError(violations)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -131,6 +132,60 @@ def test_nan_resolution_and_eps_are_input_errors(docs, capsys, verb, flag):
     assert report["error"]["kind"] == ("NonPositiveEpsilon" if flag == "--eps" else "PreconditionViolated")
 
 
+@pytest.mark.parametrize("verb, flags", [("rough-isom", ["--eps", "0.4", "--R", "8"]),
+                                         ("approx", ["--resolution", "1e-3"])])
+def test_nan_tolerance_is_an_input_error(docs, capsys, verb, flags):
+    doc = json.loads(docs["p"].read_text())
+    doc["space"]["tolerance"] = float("nan")
+    path = docs["tmp"] / "nan_tol.json"
+    path.write_text(json.dumps(doc))  # Python's json writes and reads the NaN literal
+    start = time.perf_counter()
+    assert main([verb, str(path), str(path), *flags]) == 2
+    assert time.perf_counter() - start < 1.0  # approx once bisected towards a NaN upper end forever
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "MetricValidationError"
+    assert [v["kind"] for v in error["violations"]] == ["non_finite_tolerance"]
+
+
+def _malformed(doc, case):
+    """The text of pair document ``doc`` (three points, labels p0-p2) broken one way."""
+    space = doc["space"]
+    if case == "ragged dist":
+        space["dist"] = [[0, 1], [1]]
+    elif case == "string dist":
+        space["dist"] = "zz"
+    elif case == "string entries":
+        space["dist"] = [[str(x) for x in row] for row in space["dist"]]
+    elif case == "number labels":
+        space["labels"] = 5
+    elif case == "string tolerance":
+        space["tolerance"] = "x"
+    elif case == "string pseudo":
+        space["pseudo"] = "no"
+    elif case == "string subset":  # once read as the labels a and b
+        space["labels"], doc["subset"] = ["a", "b", "c"], "ab"
+    elif case == "huge entry":
+        return json.dumps(doc).replace(json.dumps(space["dist"]), f"[[0, 1{'0' * 400}, 1], [1, 0, 1], [1, 1, 0]]")
+    elif case == "overlong number":
+        return json.dumps(doc).replace(json.dumps(space["dist"]), f"[[0, 1{'0' * 5000}]]")
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("case", ["ragged dist", "string dist", "string entries", "number labels",
+                                  "string tolerance", "string pseudo", "string subset", "huge entry",
+                                  "overlong number", "not utf-8"])
+def test_malformed_documents_are_parse_errors(docs, capsys, case):
+    path = docs["tmp"] / "malformed.json"
+    if case == "not utf-8":
+        path.write_bytes(b"\xff\xfe\x00")
+    else:
+        path.write_text(_malformed(json.loads(docs["p"].read_text()), case))
+    assert main(["hausdorff", str(path), str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert "result" not in report
+    assert report["error"]["kind"] == "ParseError"
+
+
 def test_parser_is_built_once_and_reused(docs, capsys):
     assert build_parser() is build_parser()
     # a request with flags leaves none of them behind for the next one
@@ -207,6 +262,11 @@ def test_chain_verb(docs, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["all_dominated"] is True
     assert report["result"]["limit_subset"]
+    # a gluing past the last pair is an input error, not an IndexError
+    chain_doc["glues"].append({"cross": glue.cross.tolist()})  # sides omitted: read from the members
+    path.write_text(formats.dumps(chain_doc))
+    assert main(["chain", str(path), "--resolution", "1e-2"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "ParseError"
 
 
 def test_budget_abort_exit_code(docs, capsys):

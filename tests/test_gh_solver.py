@@ -242,9 +242,14 @@ def _mask_kernel(p, q):
 
 
 @pytest.mark.parametrize("n_right", [2, 3])
-def test_mask_kernel_verdicts_match_raw_enumeration_oracle(n_right):
+def test_mask_kernel_verdicts_match_raw_enumeration_oracle(n_right, monkeypatch):
+    searches = []
+    backtrack = gh_solver._backtrack
+    monkeypatch.setattr(
+        gh_solver, "_backtrack", lambda todo, *rest, **kw: searches.append(todo) or backtrack(todo, *rest, **kw)
+    )
     rng = np.random.default_rng(20 + n_right)
-    seen = {"early_none": 0, "split": 0, "feasible": 0, "refuted_after_masks": 0}
+    seen = {"early_none": 0, "searched": 0, "feasible": 0, "refuted_after_masks": 0}
     for _ in range(2):
         left = random_space(rng, 3, hi=2.0)
         right = random_space(rng, n_right, hi=2.0)
@@ -253,22 +258,27 @@ def test_mask_kernel_verdicts_match_raw_enumeration_oracle(n_right):
         p, q = MetricPair(left, left.subset(a)), MetricPair(right, right.subset(b))
         system, tol = _mask_kernel(p, q)
         # halves of mismatch values put some pair exactly at caps_i + caps_j;
-        # caps at the diameter bind nothing, so that class splits off
+        # caps at the diameter bind nothing in their class
         halves = np.unique(system.d_ll[system.d_ll > 0]) / 2
         free = max(left.diameter, right.diameter)
         grid = [0.0, *np.quantile(halves, [0.2, 0.4, 0.6, 0.8, 1.0], method="nearest"), free]
         for t1 in grid:
             for t2 in grid:
                 caps = (float(t1), float(t2))
-                built = system._build_masks(np.add.outer(caps, caps) + tol)
-                if built is None:
-                    seen["early_none"] += 1
-                elif len(system._components(built[1])) > 1:
-                    seen["split"] += 1
+                theta = np.add.outer(caps, caps) + tol
+                built = system._build_masks(theta)
+                # a query refuted before any search runs none, any other one search over all variables
+                one_search = [] if system._pruned(theta) is None else [list(range(system.nvars))]
+                seen["early_none"] += built is None
+                seen["searched"] += bool(one_search)
+                searches.clear()
                 got = system.feasible(caps)
+                assert searches == one_search, caps
                 want = oracles.compact_feasible_at_caps(left.dist, right.dist, a, b, *caps, tol=tol)
                 assert (got is not None) == want, caps
+                searches.clear()
                 first = system.first_witness(caps)
+                assert searches == one_search, caps
                 assert (first is not None) == (got is not None), caps
                 if want:
                     seen["feasible"] += 1
@@ -300,16 +310,21 @@ def _reference_block(system, i, j):
     return block
 
 
+def _largest_reference_mismatch(system):
+    """The largest mismatch of any two distinct variables over their domains."""
+    v = system.nvars
+    return max(_reference_block(system, i, j).max() for i in range(v) for j in range(i + 1, v))
+
+
 def _assert_tables_match_reference(system, n_classes):
     v = system.nvars
     assert system.domlists == [_domain(m) for (_, _, _, m) in system.vars]
     floor = np.zeros((n_classes, n_classes))
     for i in range(v):
-        assert system.pair_min[i, i] == 0.0 and system.pair_max[i, i] == 0.0
+        assert system.pair_min[i, i] == 0.0
         for j in range(i + 1, v):
             block = _reference_block(system, i, j)
             assert system.pair_min[i, j] == block.min() and system.pair_min[j, i] == 0.0
-            assert system.pair_max[i, j] == system.pair_max[j, i] == block.max()
             a, b = sorted((system.vars[i][2], system.vars[j][2]))
             floor[a, b] = floor[b, a] = max(floor[a, b], block.min())
     assert np.array_equal(system.class_floor(n_classes), floor)
@@ -318,24 +333,22 @@ def _assert_tables_match_reference(system, n_classes):
 def _assert_masks_match_reference(system, theta):
     """Forward-check masks at a per-class-pair threshold matrix, entry by entry."""
     cls = [c for (_, _, c, _) in system.vars]
-    built = system._build_masks(theta)
+    rows = system._build_masks(theta)
     hopeless = any(
         system.pair_min[i, j] > theta[cls[i], cls[j]]
         for i in range(system.nvars)
         for j in range(i + 1, system.nvars)
     )
-    assert (built is None) == hopeless
-    if built is None:
+    assert (rows is None) == hopeless
+    if rows is None:
         return 0
-    rows, pair_theta = built
     for i in range(system.nvars):
         for j in range(system.nvars):
             if i == j:
                 continue
-            assert pair_theta[i, j] == theta[cls[i], cls[j]]
             block = _reference_block(system, i, j)
             for a, p in enumerate(system.domlists[i]):
-                want = sum(1 << q for b, q in enumerate(system.domlists[j]) if block[a, b] <= pair_theta[i, j])
+                want = sum(1 << q for b, q in enumerate(system.domlists[j]) if block[a, b] <= theta[cls[i], cls[j]])
                 assert int(rows[i, j, p]) & system.vars[j][3] == want
     return 1
 
@@ -363,7 +376,7 @@ def test_mask_kernel_tables_match_per_pair_reference():
         system, tol = _mask_kernel(p, q)
         _assert_tables_match_reference(system, 2)
         # no pair is hopeless once both caps reach half the largest pair_min
-        m, big = system.pair_min.max() / 2, system.pair_max.max() / 2
+        m, big = system.pair_min.max() / 2, _largest_reference_mismatch(system) / 2
         for caps in ([0.0, 0.0], [m, m], [m, big / 2], [big, m]):
             caps = np.array(caps)
             checked += _assert_masks_match_reference(system, np.add.outer(caps, caps) + tol)
@@ -396,7 +409,7 @@ def test_lp_search_tables_match_per_pair_reference(depth):
                 got = [[_mismatch(system, j, p, i, q) for q in system.domlists[i]] for p in system.domlists[j]]
                 assert got == _reference_block(system, j, i).tolist()
         # no pair is hopeless once the total reaches the largest pair_min
-        m, big = system.pair_min.max(), system.pair_max.max()
+        m, big = system.pair_min.max(), _largest_reference_mismatch(system)
         for total in (0.0, m / 2, m, (m + big) / 2):
             theta = np.where(np.eye(depth + 1, dtype=bool), 2 * total, total) + tol
             checked += _assert_masks_match_reference(system, theta)
@@ -597,12 +610,11 @@ def test_truncated_subsystems_equal_systems_built_on_the_balls():
             assert len({id(s) for s in by_balls.values()}) == len(by_balls)
             assert sub.vars == ref.vars and sub.meta == ref.meta
             assert np.array_equal(sub.pair_min, ref.pair_min)
-            assert np.array_equal(sub.pair_max, ref.pair_max)
             theta = np.full((2, 2), 2 * eps + tol)
             got, want = sub._build_masks(theta), ref._build_masks(theta)
             assert (got is None) == (want is None)
             if got is not None:
-                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                assert np.array_equal(got, want)
             # a verdict settled by an earlier step's assignment is the search's verdict
             assert systems.feasible(eps) == (ref.feasible((eps, eps)) is not None)
             assert sub.first_witness((eps, eps)) == ref.first_witness((eps, eps))

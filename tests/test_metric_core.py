@@ -52,6 +52,14 @@ def test_violation_kinds():
     assert "nonzero_diagonal" in {v.kind for v in find_violations(np.array(diag), 1e-9)}
 
 
+@pytest.mark.parametrize("tol, pseudo", [(float("nan"), False), (float("inf"), True)])
+def test_non_finite_tolerance_is_rejected(tol, pseudo):
+    # a NaN tolerance made every closed ball empty, even of its own centre
+    with pytest.raises(MetricValidationError) as err:
+        validate_metric(np.array([[0.0, 1.0], [1.0, 0.0]]), tol=tol, pseudo=pseudo)
+    assert [v.kind for v in err.value.violations] == ["non_finite_tolerance"]
+
+
 def test_closure_fixture_triangle_heavy(derived):
     fx = derived["closure_triangle_heavy"]
     g = WeightedGraph(fx["n"], tuple((i, j, w) for i, j, w in fx["edges"]))
