@@ -167,7 +167,11 @@ def tuple_doc(mt):
 
 
 def load_gluing(source, text=None, left=None, right=None):
-    doc = _as_doc(source, text)
+    return _gluing_from_doc(source, _as_doc(source, text), left, right)
+
+
+def _gluing_from_doc(source, doc, left, right):
+    """The gluing of ``doc``; errors name ``source``, the file it came from."""
     cross = _numbers(source, _field(source, doc, "cross", "gluing"), "'cross' must be equally long lists of numbers")
     if left is None:
         left = space_from_doc(source, _field(source, doc, "left", "gluing"))
@@ -205,7 +209,7 @@ def load_chain(source, text=None):
         # inside a chain the member spaces stand in for omitted sides
         left = pairs[i].space if "left" not in gdoc else None
         right = pairs[i + 1].space if "right" not in gdoc else None
-        glues.append(load_gluing(gdoc, left=left, right=right))
+        glues.append(_gluing_from_doc(source, gdoc, left, right))
     return build_chain(pairs, glues, budgets.tolist())
 
 

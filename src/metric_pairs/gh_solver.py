@@ -40,6 +40,18 @@ moves there. An approximation pair (f, g) is one search over
 the variables of f, then those of g, with the composition clauses as binary
 constraints between them and two image clauses: f(A) near B and g(B) near A.
 A truncated pair is the depth-1 tuple layout with both caps at eps.
+
+Every bisection starts at a floor no map can beat: no assignment's largest
+mismatch lies below the largest of its variable pairs' smallest mismatches
+(the distortion bound, Burago, Burago & Ivanov 2001, section 7.3). The
+compact distances start their total at the LP value of the per-class floor.
+The truncated distance searches the whole system once at its floor, and that
+assignment, restricted to the balls of each step, settles every step whose
+threshold reaches it. The approximation bisection refutes every step below
+its floor and searches first at the smallest halving point above it. Steps
+are decided by exact monotone inference from the floors and from the
+witnesses found, and searched only where that cannot decide them, so every
+bracket and witness is that of searching every step.
 """
 
 import copy
@@ -63,6 +75,7 @@ from .metric_core import ball, subset_distances
 
 DEFAULT_ASSIGNMENT_BUDGET = 10_000_000
 _MAX_POINTS = 62  # bitmask domains live in a single int
+_TRUNCATION_CAP = 0.5  # the truncated distance is min(1/2, ...)
 
 
 def _budget_limit(budget):
@@ -417,14 +430,19 @@ class _MaskSearch:
         doms = self._arc_consistent(rows)
         return None if doms is None else (rows, doms)
 
-    def _search_at_caps(self, budgets, lexicographic):
-        caps = np.asarray(budgets, dtype=float)
-        pruned = self._pruned(caps[:, None] + caps[None, :] + self.tol)
+    def search(self, theta, lexicographic=False):
+        """An assignment whose mismatches stay within the per-class-pair
+        threshold matrix ``theta``, or None."""
+        pruned = self._pruned(theta)
         if pruned is None:
             return None
         rows, doms = pruned
         got = _backtrack(list(range(self.nvars)), doms, rows, self.budget.tick, lexicographic)
         return None if got is None else [got[i] for i in range(self.nvars)]
+
+    def _cap_thresholds(self, budgets):
+        caps = np.asarray(budgets, dtype=float)
+        return caps[:, None] + caps[None, :] + self.tol
 
     def largest_mismatch(self, values):
         """The largest mismatch between two variables at these values, the
@@ -435,11 +453,11 @@ class _MaskSearch:
 
     def feasible(self, budgets):
         """Some satisfying assignment at these caps, or None (fast refutation)."""
-        return self._search_at_caps(budgets, lexicographic=False)
+        return self.search(self._cap_thresholds(budgets))
 
     def first_witness(self, budgets):
         """The lexicographically first satisfying assignment, or None."""
-        return self._search_at_caps(budgets, lexicographic=True)
+        return self.search(self._cap_thresholds(budgets), lexicographic=True)
 
     def decide(self, total, floor):
         """Search for an assignment whose caps can total at most ``total`` +
@@ -578,44 +596,62 @@ def _tuple_vars(system, tuple_t, tuple_u):
 class _BallSystems:
     """The sub-systems of a truncated-pair system ``full``, one per pair of
     closed (1/eps)-balls of the distinguished subsets: the sub-system at eps
-    keeps the variables whose source lies in its side's ball.
+    keeps the variables whose source lies in its side's ball, with their
+    values unchanged. Balls that hold every point give ``full`` itself.
 
-    Each sub-system also keeps the smallest largest mismatch of the
-    assignments its searches returned. Such an assignment passes every mask
-    at a threshold of eps + eps + tol that reaches that value, since the
-    masks compare the same floats, so a step there is feasible without a
-    search.
+    Every assignment found is kept as its number of variables and its largest
+    mismatch L, and one rule settles steps with it: an assignment found on
+    some balls restricts to every sub-system whose balls lie inside them, and
+    there it passes every mask at a threshold eps + eps + tol that reaches L,
+    since the masks compare the same floats. The balls shrink as eps grows
+    and both sides shrink together, so a sub-system lies inside another iff
+    it keeps at most as many variables. Such a step is feasible without
+    building or searching its sub-system.
+
+    No assignment beats the system's floor, the largest of its pairs'
+    smallest mismatches (``pair_min``). When the floor is within the cap's
+    threshold, ``full`` is searched once at the floor: an assignment there
+    has L equal to the floor, the least any assignment can have, and it
+    settles every step whose threshold reaches the floor.
     """
 
     def __init__(self, full, pair_p, pair_q):
         self.full = full
         self._near = [(subset_distances(x.space, x.a), x.space.tol) for x in (pair_p, pair_q)]
-        self._entries = {}  # ball memberships -> [sub-system, smallest largest mismatch found]
+        self._systems = {}  # kept variables -> sub-system
+        self._found = []  # (variables kept, largest mismatch) of each assignment found
+        floor = float(full.pair_min.max())
+        if floor <= _TRUNCATION_CAP + _TRUNCATION_CAP + full.tol:
+            self._record(full, full.search(np.full((2, 2), floor)))
 
-    def _entry(self, eps):
+    def _record(self, system, values):
+        if values is not None:
+            self._found.append((system.nvars, system.largest_mismatch(values)))
+        return values is not None
+
+    def _keep(self, eps):
         radius = 1.0 / eps
-        inside = [d <= radius + tol for d, tol in self._near]  # as ``ball`` tests closed balls
-        key = (inside[0].tobytes(), inside[1].tobytes())
-        entry = self._entries.get(key)
-        if entry is None:
-            keep = [k for k, (side, src, _, _) in enumerate(self.full.vars) if inside[side][src]]
-            entry = self._entries[key] = [self.full.subsystem(keep), float("inf")]
-        return entry
+        inside = np.concatenate([d <= radius + tol for d, tol in self._near])  # as ``ball`` tests closed balls
+        return np.flatnonzero(inside[self.full._point])
 
     def system(self, eps):
-        return self._entry(eps)[0]
+        return self._system(self._keep(eps))
+
+    def _system(self, keep):
+        if len(keep) == self.full.nvars:
+            return self.full
+        key = keep.tobytes()
+        if key not in self._systems:
+            self._systems[key] = self.full.subsystem(keep)
+        return self._systems[key]
 
     def feasible(self, eps):
         """Whether some assignment of the sub-system at eps keeps every cap at eps."""
-        entry = self._entry(eps)
-        system, settled = entry
-        if settled <= eps + eps + system.tol:
+        keep, bound = self._keep(eps), eps + eps + self.full.tol
+        if any(len(keep) <= n and largest <= bound for n, largest in self._found):
             return True
-        values = system.feasible((eps, eps))
-        if values is None:
-            return False
-        entry[1] = system.largest_mismatch(values)  # within this step's threshold, so below ``settled``
-        return True
+        system = self._system(keep)
+        return self._record(system, system.feasible((eps, eps)))
 
 
 def _witness_dict(system, values, caps):
@@ -791,11 +827,19 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
     restricted to the closed (1/eps)-balls of the distinguished subsets;
     monotone bisection on eps, capped at 1/2. One system over all points, in
     the layout of the depth-1 tuples with both caps at eps, is built per
-    call; each step searches its sub-system of the variables whose
-    source lies in the two balls, built once per pair of balls. Ball indices
-    ascend, so the variables keep the order a system built on the balls alone
-    would give them. A step that an assignment found earlier already
-    satisfies is not searched (``_BallSystems``).
+    call; a step is decided on its sub-system of the variables whose source
+    lies in the two balls. Ball indices ascend, so the variables keep the
+    order a system built on the balls alone would give them.
+
+    The whole system is searched first at its floor, the smallest largest
+    mismatch any assignment can have. Each step is then settled, without a
+    search, by any assignment found so far on balls that hold its own and
+    whose largest mismatch its threshold eps + eps + tol reaches
+    (``_BallSystems``); only a step nothing settles builds its sub-system,
+    once per pair of balls, and searches it. Every verdict is the one a
+    search would give, so the bracket is that of searching every step, and
+    the witness is the lexicographically first assignment at the final upper
+    end, searched on its own sub-system.
     """
     pair_p, pair_q = _with_tol_floor(pair_p, pair_q)
     _check_resolution(resolution, pair_p.space, pair_q.space)
@@ -807,9 +851,8 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
     full = _MaskSearch(left.dist, right.dist, tol, bud)
     _tuple_vars(full, MetricTuple(left, (pair_p.a,)), MetricTuple(right, (pair_q.a,)))
     full.finalize()
+    cap = _TRUNCATION_CAP
     systems = _BallSystems(full, pair_p, pair_q)
-
-    cap = 0.5
     if not systems.feasible(cap):
         return DistanceBracket(
             lo=cap,
@@ -893,14 +936,13 @@ def approx_search(pair_p, pair_q, eps, budget=None):
     """
     if not eps > 0:
         raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
-    limit = _budget_limit(budget)
+    bud = _Budget(_budget_limit(budget))
     _check_size(pair_p.space, pair_q.space)
-    return _approx_search(pair_p, pair_q, eps, limit, _mismatches(pair_p.space.dist, pair_q.space.dist))
+    return _approx_search(pair_p, pair_q, eps, bud, _mismatches(pair_p.space.dist, pair_q.space.dist))
 
 
-def _approx_search(pair_p, pair_q, eps, limit, mismatch):
-    """``approx_search`` at a budget of ``limit`` ticks, given ``_mismatches(d_L, d_R)``."""
-    bud = _Budget(limit)
+def _approx_search(pair_p, pair_q, eps, bud, mismatch):
+    """``approx_search`` ticking ``bud``, given ``_mismatches(d_L, d_R)``."""
     left, right = pair_p.space, pair_q.space
     dl, dr = left.dist, right.dist
     nl, nr = len(left), len(right)
@@ -960,35 +1002,63 @@ def validate_approximation(pair_p, pair_q, ap):
 def min_approx_eps(pair_p, pair_q, resolution, budget=None):
     """Bisect the smallest eps at which approx_search succeeds.
 
-    The valid pairs at eps only shrink as eps falls. So while the pair found
-    at the upper end stays valid at the midpoint (its largest clause value is
-    within mid + tol), it is also the lexicographically first pair there,
-    which approx_search would return, and no search runs. Every search
-    thresholds the same mismatch tensor, computed once per call.
+    Every step is decided by exact inference where it can be, and searched
+    only where it cannot; all searches threshold one mismatch tensor and
+    share one budget.
+
+    - At the diameter scale every pair of maps is valid, so the zero maps are
+      the first pair there, and the bisection starts from them.
+    - No pair beats the floor, the largest over point pairs of one space of
+      their smallest mismatch with a point pair of the other. A step whose
+      eps + tol lies below it is refuted, as the search would refute it: the
+      point pair has no compatible value pair.
+    - The valid pairs only shrink as eps falls. While the pair found last
+      stays valid at the midpoint (its largest clause value is within
+      mid + tol), the step succeeds; a step at or below a refuted eps fails.
+    - While every step succeeds the bisection halves its upper end, so the
+      first search runs at the smallest such halving point that the floor
+      does not refute. On near pairs it usually succeeds, which settles every
+      larger step; a refutation settles every smaller one.
+
+    The pair found last is the lexicographically first at the eps it was
+    searched at, which is at least the final upper end, and it is valid
+    there. The valid pairs at the upper end are a subset of those at its
+    eps, so it is also the first pair at the upper end, as approx_search
+    would return it.
     """
     _check_resolution(resolution, pair_p.space, pair_q.space)
-    limit = _budget_limit(budget)
+    bud = _Budget(_budget_limit(budget))
     _check_size(pair_p.space, pair_q.space)
     mismatch = _mismatches(pair_p.space.dist, pair_q.space.dist)
+    floor = max(mismatch.min(axis=(2, 3)).max(), mismatch.min(axis=(0, 1)).max())
     scale = max(pair_p.space.diameter, pair_q.space.diameter)
     tol = max(pair_p.space.tol, pair_q.space.tol)
     e_lo, e_hi = 0.0, max(scale + tol, resolution)
-    best = _approx_search(pair_p, pair_q, e_hi, limit, mismatch)
-    while best is None:  # constant maps succeed once eps reaches the diameter scale
-        e_hi = 2 * e_hi + resolution
-        best = _approx_search(pair_p, pair_q, e_hi, limit, mismatch)
+    best = ApproximationPair(f=(0,) * len(pair_p.space), g=(0,) * len(pair_q.space), eps=float(e_hi))
     need = max(_approximation_clauses(pair_p, pair_q, best.f, best.g).values())
+    refuted = 0.0  # the largest eps searched and refuted
+
+    def search(eps):
+        nonlocal best, need, refuted
+        hit = _approx_search(pair_p, pair_q, eps, bud, mismatch)
+        if hit is None:
+            refuted = eps
+        else:
+            best, need = hit, max(_approximation_clauses(pair_p, pair_q, hit.f, hit.g).values())
+
+    first = e_hi
+    while first > resolution and first > tol and _le(floor, first / 2, tol):
+        first /= 2
+    if first < e_hi:
+        search(first)
     while e_hi - e_lo > resolution and e_hi > tol:
         mid = (e_hi + e_lo) / 2
+        if not _le(need, mid, tol) and mid > refuted and _le(floor, mid, tol):
+            search(mid)
         if _le(need, mid, tol):
             e_hi = mid
-            continue
-        hit = _approx_search(pair_p, pair_q, mid, limit, mismatch)
-        if hit is None:
-            e_lo = mid
         else:
-            e_hi, best = mid, hit
-            need = max(_approximation_clauses(pair_p, pair_q, best.f, best.g).values())
+            e_lo = mid
     return DistanceBracket(
         lo=float(e_lo),
         hi=float(e_hi),

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .hausdorff import hausdorff_of_matrix
-from .metric_core import SubsetRef, _fw_fixpoint, ball, check_subset, subset_distances
+from .metric_core import SubsetRef, _cells, _fw_fixpoint, ball, check_subset, subset_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,19 +68,19 @@ class CrossMetric:
             out.append(MetricViolation("zero_cross_entry", (i, j)))
         # cross[i, j] <= d_L(i, i') + cross[i', j]
         m = (dl[:, :, None] + c[None, :, :]).min(axis=1)
-        for i, j in np.argwhere(c > m + tol):
+        for i, j in _cells(c > m + tol):
             out.append(MetricViolation("cross_vs_left_path", (int(i), int(j))))
         # cross[i, j] <= cross[i, j'] + d_R(j', j)
         m = (c[:, :, None] + dr[None, :, :]).min(axis=1)
-        for i, j in np.argwhere(c > m + tol):
+        for i, j in _cells(c > m + tol):
             out.append(MetricViolation("cross_vs_right_path", (int(i), int(j))))
         # d_L(i, i') <= cross[i, j] + cross[i', j]
         s = (c[:, None, :] + c[None, :, :]).min(axis=2)
-        for i, i2 in np.argwhere(dl > s + tol):
+        for i, i2 in _cells(dl > s + tol):
             out.append(MetricViolation("left_vs_cross_pair", (int(i), int(i2))))
         # d_R(j, j') <= cross[i, j] + cross[i, j']
         s = (c[:, :, None] + c[:, None, :]).min(axis=0)
-        for j, j2 in np.argwhere(dr > s + tol):
+        for j, j2 in _cells(dr > s + tol):
             out.append(MetricViolation("right_vs_cross_pair", (int(j), int(j2))))
         return out
 

@@ -108,6 +108,12 @@ def check_subset(space, ref):
     return ref
 
 
+def _cells(mask):
+    """The indices of the true cells of ``mask``, as ``np.argwhere`` lists
+    them. Most inputs are clean, and ``any`` costs far less than ``argwhere``."""
+    return np.argwhere(mask) if mask.any() else ()
+
+
 def find_violations(matrix, tol, pseudo=False):
     """Every metric-axiom failure of a square matrix, as structured records."""
     m = np.asarray(matrix, dtype=float)
@@ -119,21 +125,21 @@ def find_violations(matrix, tol, pseudo=False):
     n = len(m)
     out = []
     asym = np.abs(m - m.T) > tol
-    for i, j in np.argwhere(np.triu(asym, k=1)):
+    for i, j in _cells(np.triu(asym, k=1)):
         out.append(MetricViolation("asymmetric", (int(i), int(j))))
-    for (i,) in np.argwhere(np.abs(np.diag(m)) > tol):
+    for (i,) in _cells(np.abs(np.diag(m)) > tol):
         out.append(MetricViolation("nonzero_diagonal", (int(i),)))
     off = ~np.eye(n, dtype=bool)
-    for i, j in np.argwhere((m < -tol) & off):
+    for i, j in _cells((m < -tol) & off):
         out.append(MetricViolation("negative_entry", (int(i), int(j))))
     if not pseudo:
-        for i, j in np.argwhere((m <= tol) & off):
+        for i, j in _cells((m <= tol) & off):
             out.append(MetricViolation("zero_off_diagonal", (int(i), int(j))))
     if not out:
         # only meaningful once the matrix is symmetric and nonnegative:
         # d[i, k] <= d[i, j] + d[j, k] + tol for all triples
         bad = m[:, None, :] > m[:, :, None] + m[None, :, :] + tol
-        for i, j, k in np.argwhere(bad):
+        for i, j, k in _cells(bad):
             out.append(MetricViolation("triangle", (int(i), int(j), int(k))))
     return out
 

@@ -269,6 +269,19 @@ def test_chain_verb(docs, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "ParseError"
 
 
+def test_chain_gluing_errors_name_the_chain_file(docs, capsys):
+    space = line_space([0.0, 1.0])
+    pair = formats.pair_doc(MetricPair(space, space.subset([0])))
+    glue = {"left": formats.space_doc(space), "right": formats.space_doc(space), "cross": "zz"}
+    path = docs["tmp"] / "bad_glue_chain.json"
+    path.write_text(formats.dumps({"pairs": [pair, pair], "glues": [glue], "eps_budget": [0.5]}))
+    assert main(["chain", str(path), "--resolution", "1e-2"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "ParseError"
+    assert error["detail"].startswith(f"{path}: ")
+    assert "dist" not in error["detail"] and "[[" not in error["detail"]  # no matrix of the document
+
+
 def test_budget_abort_exit_code(docs, capsys):
     assert main(["gh", str(docs["p"]), str(docs["q"]), "--resolution", "1e-3", "--budget", "4"]) == 3
     report = json.loads(capsys.readouterr().out)

@@ -563,16 +563,63 @@ def test_refuted_steps_skip_the_totals_they_settle(monkeypatch):
     assert len(totals) <= 62, len(totals)
 
 
-# Skipping the bisection steps that an assignment found earlier already
-# satisfies solves this near pair in 96 ticks; searching every step took 278.
-def test_truncated_near_pair_solves_within_a_fixed_budget():
+def _near_nine_point_pair():
     rng = np.random.default_rng(2)
     left = random_space(rng, 9)
     right = jittered_copy(left, rng, 0.05)
     a = random_subset(rng, 9, k=4)
-    bracket = gh_truncated_pair(_pair(left, a), _pair(right, a), 1e-3, budget=150)
+    return _pair(left, a), _pair(right, a)
+
+
+# Skipping the bisection steps that an assignment found earlier already
+# satisfies solves this near pair in 96 ticks; searching every step took 278.
+def test_truncated_near_pair_solves_within_a_fixed_budget():
+    p, q = _near_nine_point_pair()
+    bracket = gh_truncated_pair(p, q, 1e-3, budget=150)
     assert (bracket.lo, bracket.hi) == (0.015625, 0.01611328125)  # as with an ample budget
     assert bracket.witness["admissible"]
+
+
+# One search of the whole system at its floor settles every step whose
+# threshold reaches it: 52 ticks, where settling each pair of balls by its own
+# searches took 96.
+def test_truncated_floor_search_settles_the_near_pair_within_70_ticks():
+    p, q = _near_nine_point_pair()
+    bracket = gh_truncated_pair(p, q, 1e-3, budget=70)
+    assert (bracket.lo, bracket.hi) == (0.015625, 0.01611328125)
+
+
+# The first search runs at the smallest halving point the floor allows; on
+# this pair it succeeds and settles every larger step. Searching from the
+# diameter scale down took 10 searches.
+def test_min_approx_eps_searches_the_near_pair_at_most_twice(monkeypatch):
+    p, q = _near_nine_point_pair()
+    calls = []
+    search = gh_solver._approx_search
+    monkeypatch.setattr(gh_solver, "_approx_search", lambda *args: calls.append(args[2]) or search(*args))
+    bracket = min_approx_eps(p, q, 1e-3)
+    assert len(calls) <= 2, calls
+    assert validate_approximation(p, q, approx_search(p, q, bracket.hi)) == []
+
+
+def _system_on_balls(p, q, eps):
+    """The truncated-pair system at eps built on the two closed (1/eps)-balls
+    alone, with the balls' points."""
+    left, right = p.space, q.space
+    a, b = list(p.a.indices), list(q.a.indices)
+    ref = _MaskSearch(left.dist, right.dist, max(left.tol, right.tol), _Budget(10**6))
+    ball_l = [x for x in range(len(left)) if left.dist[x, a].min() <= 1 / eps + left.tol]
+    ball_r = [y for y in range(len(right)) if right.dist[y, b].min() <= 1 / eps + right.tol]
+    for x in ball_l:
+        ref.add_var(0, x, 0, range(len(right)), "f", x)
+    for y in ball_r:
+        ref.add_var(1, y, 0, range(len(left)), "g", y)
+    for x in a:
+        ref.add_var(0, x, 1, b, "alpha", (0, x))
+    for y in b:
+        ref.add_var(1, y, 1, a, "beta", (0, y))
+    ref.finalize()
+    return ref, (tuple(ball_l), tuple(ball_r))
 
 
 def test_truncated_subsystems_equal_systems_built_on_the_balls():
@@ -590,21 +637,9 @@ def test_truncated_subsystems_equal_systems_built_on_the_balls():
         systems, by_balls = _BallSystems(full, p, q), {}
         for eps in (0.5, 0.3, 0.2, 0.12, 0.08, 0.07):
             sub = systems.system(eps)
-            ref = _MaskSearch(left.dist, right.dist, tol, _Budget(10**6))
-            ball_l = [x for x in range(5) if left.dist[x, a].min() <= 1 / eps + left.tol]
-            ball_r = [y for y in range(5) if right.dist[y, a].min() <= 1 / eps + right.tol]
-            for x in ball_l:
-                ref.add_var(0, x, 0, range(5), "f", x)
-            for y in ball_r:
-                ref.add_var(1, y, 0, range(5), "g", y)
-            for x in a:
-                ref.add_var(0, x, 1, a, "alpha", (0, x))
-            for y in a:
-                ref.add_var(1, y, 1, a, "beta", (0, y))
-            ref.finalize()
-            seen.add((len(ball_l), len(ball_r)))
+            ref, balls = _system_on_balls(p, q, eps)
+            seen.add(tuple(map(len, balls)))
             # eps values with the same balls get the same sub-system, and only they do
-            balls = (tuple(ball_l), tuple(ball_r))
             shared += balls in by_balls
             assert by_balls.setdefault(balls, sub) is sub
             assert len({id(s) for s in by_balls.values()}) == len(by_balls)
@@ -620,6 +655,47 @@ def test_truncated_subsystems_equal_systems_built_on_the_balls():
             assert sub.first_witness((eps, eps)) == ref.first_witness((eps, eps))
     assert len(seen) > 1  # some balls cut points off
     assert shared > 0
+
+
+def _truncated_reference(p, q, resolution):
+    """``gh_truncated_pair``'s (lo, hi, maps), with every step searched on a
+    system built on its balls."""
+    p, q = gh_solver._with_tol_floor(p, q)
+    swap = gh_solver._swap_for_canonical_order(p.space, (p.a,), q.space, (q.a,))
+    if swap:
+        p, q = q, p
+    tol = max(p.space.tol, q.space.tol)
+
+    def feasible(eps):
+        return _system_on_balls(p, q, eps)[0].feasible((eps, eps)) is not None
+
+    if not feasible(0.5):
+        return 0.5, 0.5, None
+    e_lo, e_hi = 0.0, 0.5
+    while e_hi - e_lo > resolution / 2 and e_hi > tol:
+        mid = (e_hi + e_lo) / 2
+        if feasible(mid):
+            e_hi = mid
+        else:
+            e_lo = mid
+    ref = _system_on_balls(p, q, e_hi)[0]
+    maps = {"f": {}, "g": {}, "alpha": {}, "beta": {}}
+    for (kind, key), value in zip(ref.meta, ref.first_witness((e_hi, e_hi))):
+        maps[kind][key[1] if kind in ("alpha", "beta") else key] = value
+    if swap:
+        maps = {"f": maps["g"], "g": maps["f"], "alpha": maps["beta"], "beta": maps["alpha"]}
+    return e_lo, e_hi, maps
+
+
+def _assert_truncated_matches_reference(p, q):
+    bracket = gh_truncated_pair(p, q, 1e-3)
+    maps = None if bracket.witness is None else {k: bracket.witness[k] for k in ("f", "g", "alpha", "beta")}
+    assert (bracket.lo, bracket.hi, maps) == _truncated_reference(p, q, 1e-3)
+
+
+def test_truncated_settled_steps_match_a_search_on_the_balls_at_every_step():
+    for p, q in _near_pairs(71, 12):
+        _assert_truncated_matches_reference(p, q)
 
 
 def _depth_one_24_point_tuples():
@@ -716,6 +792,12 @@ def test_truncated_bracket_exactly_invariant_under_relabelling(data):
     base = gh_truncated_pair(p, q, 1e-3)
     moved = gh_truncated_pair(data.draw(_relabelled(p)), q, 1e-3)
     assert (moved.lo, moved.hi) == (base.lo, base.hi)
+
+
+@_PROPERTY
+@given(st.data())
+def test_truncated_settled_steps_match_a_search_on_the_balls_on_small_pairs(data):
+    _assert_truncated_matches_reference(data.draw(_small_pairs()), data.draw(_small_pairs()))
 
 
 @_PROPERTY
@@ -1182,10 +1264,45 @@ def test_min_approx_eps_witness_is_the_first_pair_at_hi_on_small_pairs(data):
     _assert_min_approx_witness_is_first_at_hi(p, q)
 
 
+def _min_approx_reference(p, q, resolution):
+    """``min_approx_eps``'s (lo, hi, f, g), bisecting down from the diameter
+    scale with ``approx_search`` at every step."""
+    tol = max(p.space.tol, q.space.tol)
+    e_lo, e_hi = 0.0, max(max(p.space.diameter, q.space.diameter) + tol, resolution)
+    best = approx_search(p, q, e_hi)
+    assert best is not None  # every pair of maps is valid at the diameter scale
+    while e_hi - e_lo > resolution and e_hi > tol:
+        mid = (e_hi + e_lo) / 2
+        hit = approx_search(p, q, mid)
+        if hit is None:
+            e_lo = mid
+        else:
+            e_hi, best = mid, hit
+    return e_lo, e_hi, best.f, best.g
+
+
+def _assert_min_approx_matches_reference(p, q):
+    bracket = min_approx_eps(p, q, 1e-3)
+    got = (bracket.lo, bracket.hi, tuple(bracket.witness["f"]), tuple(bracket.witness["g"]))
+    assert got == _min_approx_reference(p, q, 1e-3)
+
+
+def test_min_approx_eps_inferred_steps_match_a_search_at_every_step():
+    for p, q in _near_pairs(71, 12):
+        _assert_min_approx_matches_reference(p, q)
+
+
+@_PROPERTY
+@given(st.data())
+def test_min_approx_eps_inferred_steps_match_a_search_at_every_step_on_small_pairs(data):
+    _assert_min_approx_matches_reference(data.draw(_small_pairs()), data.draw(_small_pairs()))
+
+
 # One joint (f, g) search that forward-checks both image clauses needs at most
-# 64 ticks per call on these near pairs. On the 10-point pair, a fresh g search
-# per complete f needed 15,966 in one call; on the 12-point pair, checking
-# whether g(B) can cover A only while g is assigned needed 2,347,341.
+# 64 ticks per search on these near pairs, and a whole call, which draws every
+# search from one budget, takes 20 and 105. On the 10-point pair, a fresh g
+# search per complete f needed 15,966 in one call; on the 12-point pair,
+# checking whether g(B) can cover A only while g is assigned needed 2,347,341.
 @pytest.mark.parametrize("seed, n", [(247, 10), (136, 12)])
 def test_approx_tail_draw_solves_within_a_fixed_budget(seed, n):
     rng = np.random.default_rng(seed)
@@ -1196,6 +1313,20 @@ def test_approx_tail_draw_solves_within_a_fixed_budget(seed, n):
     bracket = min_approx_eps(p, q, 1e-3, budget=1_000)
     assert bracket.hi - bracket.lo <= 1e-3 + 2 * bracket.tol
     assert validate_approximation(p, q, approx_search(p, q, bracket.hi)) == []
+
+
+# A budget caps the whole call, as for every other solver. On this draw the
+# floor is not tight: the call runs 5 searches of at most 25 ticks each, 105
+# in all, so a budget of 60 covers every search but not the call.
+def test_min_approx_eps_shares_one_budget_across_its_searches():
+    rng = np.random.default_rng(136)
+    left = random_space(rng, 12)
+    right = jittered_copy(left, rng, 0.05)
+    a = random_subset(rng, 12, k=6)
+    p, q = MetricPair(left, left.subset(a)), MetricPair(right, right.subset(a))
+    with pytest.raises(SizeLimitExceeded):
+        min_approx_eps(p, q, 1e-3, budget=60)
+    assert min_approx_eps(p, q, 1e-3, budget=105).hi == min_approx_eps(p, q, 1e-3).hi
 
 
 def _rough_isometries(p, q, radius, eps):
