@@ -34,18 +34,23 @@ and tuple distances add a hook of their own: it carries the running per-class
 mismatch maxima down the search and prunes once their LP-minimal cap total
 exceeds the bisected total. That LP optimum is half a maximum-weight
 assignment of the maxima, which the Hungarian method finds exactly, so the
-solvers need numpy alone. A refuted step also reports the next total at
-which the same search could decide otherwise, and the bisection's lower end
-moves there. An approximation pair (f, g) is one search over
+solvers need numpy alone. An approximation pair (f, g) is one search over
 the variables of f, then those of g, with the composition clauses as binary
 constraints between them and two image clauses: f(A) near B and g(B) near A.
 A truncated pair is the depth-1 tuple layout with both caps at eps.
 
-Every bisection starts at a floor no map can beat: no assignment's largest
-mismatch lies below the largest of its variable pairs' smallest mismatches
-(the distortion bound, Burago, Burago & Ivanov 2001, section 7.3). The
-compact distances start their total at the LP value of the per-class floor.
-The truncated distance searches the whole system once at its floor, and that
+One driver, ``_bisect``, runs every bisection: a step at the midpoint
+returns (hit, bound), where a hit proves the upper end bound <= mid and a
+refutation the lower end bound >= mid, clamped to the upper end. It stops
+at width resolution / 2 for the compact and truncated distances and at
+resolution for approximations and convergence checks.
+
+The convergence check bisects from 0 and searches every step. The other
+bisections use a floor no map can beat: no assignment's largest mismatch
+lies below the largest of its variable pairs' smallest mismatches (the
+distortion bound, Burago, Burago & Ivanov 2001, section 7.3). The compact
+distances start their total at the LP value of the per-class floor. The
+truncated distance searches the whole system once at its floor, and that
 assignment, restricted to the balls of each step, settles every step whose
 threshold reaches it. The approximation bisection refutes every step below
 its floor and searches first at the smallest halving point above it. Steps
@@ -103,6 +108,21 @@ class _Budget:
         self.left -= n
         if self.left < 0:
             raise SizeLimitExceeded(self.limit)
+
+
+def _bisect(step, lo, hi, width, tol):
+    """Narrow [lo, hi] until it is at most ``width`` wide or hi is within
+    ``tol`` of zero, and return it. ``step(mid)`` returns (hit, bound): a hit
+    proves hi = bound <= mid, and a refutation proves lo = bound >= mid,
+    clamped to at most hi, as is ``lo`` on entry."""
+    lo = min(lo, hi)
+    while hi - lo > width and hi > tol:
+        hit, bound = step((hi + lo) / 2)
+        if hit:
+            hi = bound
+        else:
+            lo = min(bound, hi)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -773,36 +793,30 @@ def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
     _tuple_vars(system, tuple_t, tuple_u)
     system.finalize()
     floor = system.class_floor(n_cls).tolist()
+    best = None  # (LP cost, caps) of the cheapest assignment found
 
-    def cost(total):
-        """(LP cost, caps) of an assignment found at this total, or None after
-        moving t_lo to the first total at which the search could succeed."""
-        nonlocal t_lo
+    def step(total):
+        """A hit bounds hi by its assignment's cost, a refutation lo by ``retry``."""
+        nonlocal best
         hit, retry = system.decide(total, floor)
         if hit is None:
-            t_lo = min(max(total, retry), t_hi)
-            return None
-        return _lp_min_total(hit[1])
+            return False, max(total, retry)
+        found = _lp_min_total(hit[1])
+        if best is None or found[0] < best[0]:
+            best = found
+        return True, min(total, found[0])
 
     lo0, _ = _lp_min_total(floor)
-    t_lo, t_hi = lo0, float("inf")  # no upper end until some total succeeds
-    best = cost(lo0)
-    if best is None:
+    t_lo = lo0
+    hit, bound = step(lo0)
+    if not hit:
         scale = max(left.diameter, right.diameter)
         total = max(n_cls * scale / 2, lo0 + resolution)
-        best = cost(total)
-        while best is None:  # pseudo caps at half the diameter always glue
+        while not hit:  # pseudo caps at half the diameter always glue
+            t_lo = bound
+            hit, bound = step(total)
             total = 2 * total + resolution
-            best = cost(total)
-        t_hi = min(total, best[0])
-        t_lo = min(t_lo, t_hi)
-        while t_hi - t_lo > resolution / 2:
-            mid = (t_hi + t_lo) / 2
-            hit = cost(mid)
-            if hit is not None:
-                t_hi = min(mid, hit[0])
-                if hit[0] < best[0]:
-                    best = hit
+        t_lo, _ = _bisect(step, t_lo, bound, resolution / 2, tol)
     caps = best[1]
     values = system.first_witness(caps)
     cert = _certificate(left, right, system, values, caps)
@@ -863,13 +877,7 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
             witness=None,
             tol=tol,
         )
-    e_lo, e_hi = 0.0, cap
-    while e_hi - e_lo > resolution / 2 and e_hi > tol:
-        mid = (e_hi + e_lo) / 2
-        if systems.feasible(mid):
-            e_hi = mid
-        else:
-            e_lo = mid
+    e_lo, e_hi = _bisect(lambda eps: (systems.feasible(eps), eps), 0.0, cap, resolution / 2, tol)
     system = systems.system(e_hi)
     values = system.first_witness((e_hi, e_hi))
     cert = _certificate(left, right, system, values, (e_hi, e_hi))
@@ -1033,32 +1041,27 @@ def min_approx_eps(pair_p, pair_q, resolution, budget=None):
     floor = max(mismatch.min(axis=(2, 3)).max(), mismatch.min(axis=(0, 1)).max())
     scale = max(pair_p.space.diameter, pair_q.space.diameter)
     tol = max(pair_p.space.tol, pair_q.space.tol)
-    e_lo, e_hi = 0.0, max(scale + tol, resolution)
+    e_hi = max(scale + tol, resolution)
     best = ApproximationPair(f=(0,) * len(pair_p.space), g=(0,) * len(pair_q.space), eps=float(e_hi))
     need = max(_approximation_clauses(pair_p, pair_q, best.f, best.g).values())
     refuted = 0.0  # the largest eps searched and refuted
 
-    def search(eps):
+    def step(eps):
+        """Searches only a step that ``need``, ``refuted`` and the floor leave open."""
         nonlocal best, need, refuted
-        hit = _approx_search(pair_p, pair_q, eps, bud, mismatch)
-        if hit is None:
-            refuted = eps
-        else:
-            best, need = hit, max(_approximation_clauses(pair_p, pair_q, hit.f, hit.g).values())
+        if not _le(need, eps, tol) and eps > refuted and _le(floor, eps, tol):
+            hit = _approx_search(pair_p, pair_q, eps, bud, mismatch)
+            if hit is None:
+                refuted = eps
+            else:
+                best, need = hit, max(_approximation_clauses(pair_p, pair_q, hit.f, hit.g).values())
+        return _le(need, eps, tol), eps
 
     first = e_hi
     while first > resolution and first > tol and _le(floor, first / 2, tol):
         first /= 2
-    if first < e_hi:
-        search(first)
-    while e_hi - e_lo > resolution and e_hi > tol:
-        mid = (e_hi + e_lo) / 2
-        if not _le(need, mid, tol) and mid > refuted and _le(floor, mid, tol):
-            search(mid)
-        if _le(need, mid, tol):
-            e_hi = mid
-        else:
-            e_lo = mid
+    step(first)  # the zero maps settle e_hi itself without a search
+    e_lo, e_hi = _bisect(step, 0.0, e_hi, resolution, tol)
     return DistanceBracket(
         lo=float(e_lo),
         hi=float(e_hi),
@@ -1198,15 +1201,10 @@ def verify_convergence(seq, target, sched, resolution=1e-3, budget=None):
             return _backtrack(all_vars, doms, rows, bud.tick, hook=covers, state=True) is not None
 
         passed = feasible(eps_i)
-        e_lo, e_hi = 0.0, eps_i if passed else max(left.diameter, right.diameter, eps_i)
+        e_hi = eps_i if passed else max(left.diameter, right.diameter, eps_i)
         while not passed and not feasible(e_hi):  # a passing eps_i was searched already
             e_hi = 2 * e_hi + resolution
-        while e_hi - e_lo > resolution and e_hi > tol:
-            mid = (e_hi + e_lo) / 2
-            if feasible(mid):
-                e_hi = mid
-            else:
-                e_lo = mid
+        e_lo, e_hi = _bisect(lambda eps: (feasible(eps), eps), 0.0, e_hi, resolution, tol)
         reports.append(
             {
                 "eps": float(eps_i),

@@ -563,6 +563,54 @@ def test_refuted_steps_skip_the_totals_they_settle(monkeypatch):
     assert len(totals) <= 62, len(totals)
 
 
+def _threshold_step(value, jump=False):
+    """A monotone bisection step with its threshold at ``value``, recording
+    every midpoint it is asked about. A hit proves hi = mid; a refutation
+    proves lo = mid, or lo = value with ``jump``."""
+    mids = []
+
+    def step(mid):
+        mids.append(mid)
+        if mid >= value:
+            return True, mid
+        return False, value if jump else mid
+
+    return step, mids
+
+
+def test_bisect_stops_at_width():
+    step, mids = _threshold_step(0.3)
+    lo, hi = gh_solver._bisect(step, 0.0, 1.0, 0.01, 0.0)
+    assert lo <= 0.3 <= hi
+    assert 0.01 / 2 < hi - lo <= 0.01
+    assert len(mids) == 7  # 1 / 2^7 is the first halving within 0.01
+
+
+def test_bisect_stops_once_hi_is_within_tol():
+    step, mids = _threshold_step(0.0)
+    assert gh_solver._bisect(step, 0.0, 1.0, 1e-9, 0.1) == (0.0, 0.0625)
+    assert mids == [0.5, 0.25, 0.125, 0.0625]
+
+
+def test_bisect_refutation_past_the_midpoint_skips_the_midpoints_it_settles():
+    plain, plain_mids = _threshold_step(0.95)
+    jump, jump_mids = _threshold_step(0.95, jump=True)
+    for step in (plain, jump):
+        lo, hi = gh_solver._bisect(step, 0.0, 1.0, 1e-3, 0.0)
+        assert lo <= 0.95 <= hi and hi - lo <= 1e-3
+    assert jump_mids[0] == 0.5 and not any(0.5 <= m < 0.95 for m in jump_mids[1:])
+    assert (len(jump_mids), len(plain_mids)) == (7, 10)
+
+
+def test_bisect_clamps_lo_to_hi():
+    beyond, mids = _threshold_step(2.0, jump=True)  # refutes with a bound past hi
+    assert gh_solver._bisect(beyond, 0.0, 1.0, 1e-3, 0.0) == (1.0, 1.0)
+    assert mids == [0.5]
+    step, mids = _threshold_step(0.3)
+    assert gh_solver._bisect(step, 2.0, 1.0, 1e-3, 0.0) == (1.0, 1.0)
+    assert mids == []
+
+
 def _near_nine_point_pair():
     rng = np.random.default_rng(2)
     left = random_space(rng, 9)
