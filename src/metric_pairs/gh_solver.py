@@ -19,8 +19,11 @@ materialized (and re-validated) through glue_from_constraints.
 
 At fixed caps the condition becomes one tensor of allowed-value bitmasks per
 query, one row per ordered variable pair. A bit-parallel arc-consistency
-fixpoint over that tensor refutes most infeasible caps before any search, and
-one backtracking search over all variables decides the rest.
+fixpoint over that tensor (Mackworth 1977) refutes most infeasible caps
+before any search. On near inputs it leaves one value per variable for most
+of the rest, which decides them without a search: that assignment is the
+one every search order would find. One backtracking search over all
+variables decides the others.
 
 One forward-checking kernel, ``_backtrack``, serves every map search: cap
 assignments, approximations, rough isometries, isometries and convergence
@@ -60,6 +63,7 @@ bracket and witness is that of searching every step.
 """
 
 import copy
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -85,13 +89,17 @@ _TRUNCATION_CAP = 0.5  # the truncated distance is min(1/2, ...)
 
 def _budget_limit(budget):
     """The assignment budget: ``budget``, else METRIC_PAIRS_BUDGET, else the
-    default. Either source must give an integer of at least 1."""
+    default. ``budget`` must be an integral number (not a bool), and the
+    variable an integer literal; either must be at least 1."""
     if budget is None:
         budget = os.environ.get("METRIC_PAIRS_BUDGET") or DEFAULT_ASSIGNMENT_BUDGET
-    try:
-        limit = int(budget)
-    except (TypeError, ValueError):
-        raise PreconditionViolated("budget must be an integer", budget) from None
+        try:
+            budget = int(budget)
+        except ValueError:
+            raise PreconditionViolated("budget must be an integer", budget) from None
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
+        raise PreconditionViolated("budget must be an integer", budget)
+    limit = int(budget)
     if limit < 1:
         raise PreconditionViolated("budget must be at least 1", limit)
     return limit
@@ -287,6 +295,22 @@ def _backtrack(todo, doms, rows, tick, lexicographic=True, hook=None, state=None
     return None
 
 
+def _decided(doms):
+    """Whether arc-consistent bitmask domains hold one value each."""
+    return not any(d & (d - 1) for d in doms)
+
+
+class _Hit(tuple):
+    """A ``decide`` hit, which unpacks as (values, maxima). ``theta`` is the
+    step's threshold matrix when arc consistency alone decided the step, and
+    None when it took a search."""
+
+    def __new__(cls, values, maxima, theta):
+        hit = super().__new__(cls, (values, maxima))
+        hit.theta = theta
+        return hit
+
+
 class _MaskSearch:
     """Cap-assignment searches over two spaces, with bitmask forward checking.
 
@@ -302,9 +326,11 @@ class _MaskSearch:
     and q-th values then sits at ``head[i, p] + tail[j, q]`` of the flattened
     family tensor, where ``head`` holds the flat offsets of the induced point
     pair's first entries and ``tail`` those of its second ones. One gather at
-    that index map, in row chunks over the upper columns so that no temporary
-    approaches the size of the family tensor, gives ``pair_min[i, j]`` (i < j;
-    zero on and below the diagonal), the smallest mismatch over both domains.
+    that index map, in row chunks over the upper columns of at most
+    ``_CHUNK`` elements, gives ``pair_min[i, j]`` (i < j; zero on and below
+    the diagonal), the smallest mismatch over both domains. The chunks keep
+    every temporary far below the size of the family tensor, and small
+    enough to reuse heap memory.
 
     ``_build_masks`` turns a per-class-pair threshold matrix into one
     (V, V, n) row tensor of allowed-value bitmasks, gathered through a slot
@@ -312,17 +338,26 @@ class _MaskSearch:
     both spaces' points.
 
     Every query first prunes all domains to the greatest arc-consistent ones
-    with a bit-parallel fixpoint over the row tensor, then runs one
-    ``_backtrack`` over all variables. A query at fixed caps uses the
-    thresholds caps_i + caps_j + tol: ``feasible`` assigns the most
-    constrained variable first (much faster at refuting, and the verdict
-    cannot depend on order), and ``first_witness`` explores variables in
-    their fixed order with values ascending, so the assignment it returns is
-    the lexicographically first one. ``decide`` bounds the total of the caps
-    instead of each cap.
+    with a bit-parallel fixpoint over the row tensor. When that leaves one
+    value per variable, arc consistency has decided the query: each value
+    has a support in every other singleton domain, so forward checking
+    never wipes out and any search order visits each variable once, with one
+    tick each. Such a query ticks once per variable and runs no search; every
+    other query runs one ``_backtrack`` over all variables. A query at fixed
+    caps uses the thresholds caps_i + caps_j + tol: ``feasible`` assigns the
+    most constrained variable first (much faster at refuting, and the
+    verdict cannot depend on order), and ``first_witness`` explores
+    variables in their fixed order with values ascending, so the assignment
+    it returns is the lexicographically first one. ``decide`` bounds the
+    total of the caps instead of each cap.
     """
 
-    _CHUNK = 1 << 16  # elements per gathered block
+    # Elements per gathered block: its int64 index array and float64 values
+    # stay at 64 KiB or less, under glibc's default 128 KiB mmap threshold,
+    # so each block reuses heap memory instead of mapping and unmapping fresh
+    # pages. Against 1 << 16, finalize on a 9-point near pair (26 variables)
+    # takes about 0.6 of the time, and on 24 and 40 points no longer.
+    _CHUNK = 1 << 13
 
     def __init__(self, dl, dr, tol, budget):
         nl, nr = len(dl), len(dr)
@@ -457,6 +492,9 @@ class _MaskSearch:
         if pruned is None:
             return None
         rows, doms = pruned
+        if _decided(doms):
+            self.budget.tick(self.nvars)  # the search would try each variable's one value
+            return [d.bit_length() - 1 for d in doms]
         got = _backtrack(list(range(self.nvars)), doms, rows, self.budget.tick, lexicographic)
         return None if got is None else [got[i] for i in range(self.nvars)]
 
@@ -479,6 +517,19 @@ class _MaskSearch:
         """The lexicographically first satisfying assignment, or None."""
         return self.search(self._cap_thresholds(budgets), lexicographic=True)
 
+    def witness(self, budgets, hit):
+        """``first_witness(budgets)``, read off ``hit``, a ``decide`` hit,
+        when arc consistency decided its step and the caps lie within it."""
+        theta = self._cap_thresholds(budgets)
+        if hit.theta is not None and (theta <= hit.theta).all() and (np.array(hit[1]) <= theta).all():
+            # The masks at the caps are a subset of the step's masks, so their
+            # arc-consistent domains lie inside the step's singletons. The
+            # hit keeps every mismatch within the caps, so it survives, and
+            # the search would return it after one tick per variable.
+            self.budget.tick(self.nvars)
+            return hit[0]
+        return self.first_witness(budgets)
+
     def decide(self, total, floor):
         """Search for an assignment whose caps can total at most ``total`` +
         tol; returns (hit, retry). ``floor`` is ``class_floor`` as nested lists.
@@ -492,9 +543,16 @@ class _MaskSearch:
         search, whose hook carries the running maxima down and drops a value
         once they grow past the total.
 
-        A hit is (values, maxima) with retry None: ``maxima`` are the
-        assignment's per-class-pair mismatch maxima, and their
-        ``_lp_min_total`` is its exact cost. A refutation gives hit None and
+        When arc consistency leaves one value per variable, the search is a
+        walk over the variables in index order, which is the most-constrained
+        order when every domain has size 1 (ties go to the earliest): the
+        hook sees each variable once with the same partial assignment, and
+        each costs one tick. The walk stops at the first value the hook drops.
+
+        A hit is a ``_Hit`` (values, maxima) with retry None: ``maxima`` are
+        the assignment's per-class-pair mismatch maxima, and their
+        ``_lp_min_total`` is its exact cost; its ``theta`` tells whether arc
+        consistency decided the step. A refutation gives hit None and
         retry, the smallest total above ``total`` at which this search could
         decide differently: the next mask level (``_next_mask_level``) or the
         cheapest LP value the hook dropped, less tol. Below retry the masks,
@@ -502,7 +560,8 @@ class _MaskSearch:
         are the ones here, so every total in [total, retry) is refuted too.
         """
         bound = total + self.tol
-        pruned = self._pruned(np.where(np.eye(len(floor), dtype=bool), 2 * bound, bound))
+        theta = np.where(np.eye(len(floor), dtype=bool), 2 * bound, bound)
+        pruned = self._pruned(theta)
         if pruned is None:
             return None, self._next_mask_level(total)
         rows, doms = pruned
@@ -536,10 +595,22 @@ class _MaskSearch:
             return m
 
         # every assignment's maxima reach the class floor, so the search starts there
-        got = _backtrack(list(range(self.nvars)), doms, rows, self.budget.tick, False, hook=hook, state=floor)
+        if _decided(doms):
+            got, m = {}, floor
+            for i, d in enumerate(doms):
+                self.budget.tick()
+                p = d.bit_length() - 1
+                m = hook(m, i, p, got, None)  # the hook reads no domains
+                if m is None:
+                    got = None
+                    break
+                got[i] = p
+        else:
+            theta = None
+            got = _backtrack(list(range(self.nvars)), doms, rows, self.budget.tick, False, hook=hook, state=floor)
         if got is None:
             return None, min(self._next_mask_level(total), dropped - self.tol)
-        return ([got[i] for i in range(self.nvars)], final[-1]), None
+        return _Hit([got[i] for i in range(self.nvars)], final[-1], theta), None
 
     def _next_mask_level(self, total):
         """The smallest total above ``total`` at which ``decide`` builds other
@@ -776,7 +847,9 @@ def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
     refuted step moves the lower end past every total that the same search
     would refute again (IDA*'s bound update), not just to T. The cheapest
     assignment found fixes the caps, and the certificate glues the
-    lexicographically first assignment at those caps.
+    lexicographically first assignment at those caps. When arc consistency
+    decided the step that found it and the caps lie within that step's
+    thresholds, that assignment is the first one, found without a search.
     """
     if tuple_t.depth != tuple_u.depth:
         raise ChainLengthMismatch(f"{tuple_t.depth} vs {tuple_u.depth}")
@@ -793,7 +866,7 @@ def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
     _tuple_vars(system, tuple_t, tuple_u)
     system.finalize()
     floor = system.class_floor(n_cls).tolist()
-    best = None  # (LP cost, caps) of the cheapest assignment found
+    best = None  # ((LP cost, caps), hit) of the cheapest assignment found
 
     def step(total):
         """A hit bounds hi by its assignment's cost, a refutation lo by ``retry``."""
@@ -802,8 +875,8 @@ def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
         if hit is None:
             return False, max(total, retry)
         found = _lp_min_total(hit[1])
-        if best is None or found[0] < best[0]:
-            best = found
+        if best is None or found[0] < best[0][0]:
+            best = found, hit
         return True, min(total, found[0])
 
     lo0, _ = _lp_min_total(floor)
@@ -817,8 +890,8 @@ def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
             hit, bound = step(total)
             total = 2 * total + resolution
         t_lo, _ = _bisect(step, t_lo, bound, resolution / 2, tol)
-    caps = best[1]
-    values = system.first_witness(caps)
+    (_, caps), hit = best
+    values = system.witness(caps, hit)
     cert = _certificate(left, right, system, values, caps)
     achieved = tuple_hausdorff(cert, tuple_t, tuple_u)
     hi = achieved + 2 * tol

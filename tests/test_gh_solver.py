@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -32,7 +33,7 @@ from metric_pairs import (
     validate_metric,
     verify_convergence,
 )
-from metric_pairs import gh_solver
+from metric_pairs import formats, gh_solver
 from metric_pairs.gh_solver import (
     _BallSystems,
     _Budget,
@@ -97,6 +98,21 @@ def test_resolution_and_budget_guards():
         gh_compact_pair(p, q, 1e6)
     with pytest.raises(SizeLimitExceeded):
         gh_compact_pair(p, q, 1e-3, budget=5)
+
+
+@pytest.mark.parametrize("budget", [float("inf"), float("nan"), 1.5, 2.0, True, "7"])
+def test_budget_must_be_an_integral_number(budget):
+    rng = np.random.default_rng(2)
+    p, q = random_pair(rng), random_pair(rng)
+    with pytest.raises(PreconditionViolated, match="budget"):
+        gh_compact_pair(p, q, 1e-3, budget=budget)
+
+
+def test_budget_accepts_numpy_integers():
+    p = _pair(line_space([0.0, 1.0]), [0])
+    assert approx_search(p, p, 0.5, budget=np.int64(7)) is not None
+    with pytest.raises(SizeLimitExceeded):  # taken as the limit, and spent
+        gh_compact_pair(p, _pair(line_space([0.0, 2.0, 3.0]), [1]), 1e-3, budget=np.int64(7))
 
 
 def test_resolution_below_certificate_slack_is_typed():
@@ -267,8 +283,12 @@ def test_mask_kernel_verdicts_match_raw_enumeration_oracle(n_right, monkeypatch)
                 caps = (float(t1), float(t2))
                 theta = np.add.outer(caps, caps) + tol
                 built = system._build_masks(theta)
-                # a query refuted before any search runs none, any other one search over all variables
-                one_search = [] if system._pruned(theta) is None else [list(range(system.nvars))]
+                # a query refuted before any search, or left one value per
+                # variable by arc consistency, runs none; any other one search
+                # over all variables
+                pruned = system._pruned(theta)
+                decided = pruned is None or gh_solver._decided(pruned[1])
+                one_search = [] if decided else [list(range(system.nvars))]
                 seen["early_none"] += built is None
                 seen["searched"] += bool(one_search)
                 searches.clear()
@@ -648,6 +668,151 @@ def test_min_approx_eps_searches_the_near_pair_at_most_twice(monkeypatch):
     bracket = min_approx_eps(p, q, 1e-3)
     assert len(calls) <= 2, calls
     assert validate_approximation(p, q, approx_search(p, q, bracket.hi)) == []
+
+
+def _near_tuple(rng, n, depth):
+    """A depth-``depth`` tuple on n points and its copy jittered by 0.05, same chain."""
+    left = random_space(rng, n)
+    right = jittered_copy(left, rng, 0.05)
+    t = _nested_tuple(rng, left, depth)
+    return t, MetricTuple(right, tuple(right.subset(r.indices) for r in t.chain))
+
+
+def _ticks(system, query):
+    """``query()`` and the ticks it took from the system's budget."""
+    left = system.budget.left
+    return query(), left - system.budget.left
+
+
+# Arc consistency leaves one value per variable at every step of these near
+# inputs, so they run no search: each step builds its two packed tensors, and
+# the witness at the final caps is the decided step's assignment.
+def test_decided_steps_run_no_search_and_build_no_witness_masks(monkeypatch):
+    rng = np.random.default_rng(81)
+    cases = [(gh_compact_pair, *_near_nine_point_pair())]
+    cases += [(gh_compact_tuple, *_near_tuple(rng, 5, depth)) for depth in (2, 3)]
+    calls = {"backtrack": 0, "packed": 0, "decide": 0}
+    budgets = []  # every budget a solver creates, to read the ticks it spent
+
+    def counted(name, fn):
+        return lambda *args, **kw: calls.__setitem__(name, calls[name] + 1) or fn(*args, **kw)
+
+    class Recorded(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(gh_solver, "_backtrack", counted("backtrack", gh_solver._backtrack))
+    monkeypatch.setattr(_MaskSearch, "_packed", counted("packed", _MaskSearch._packed))
+    monkeypatch.setattr(_MaskSearch, "decide", counted("decide", _MaskSearch.decide))
+    monkeypatch.setattr(gh_solver, "_Budget", Recorded)
+    for solve, x, y in cases:
+        calls.update(backtrack=0, packed=0, decide=0)
+        decided = formats.dumps(formats.bracket_doc(solve(x, y, 1e-3)))
+        assert calls["decide"] >= 1 and calls["backtrack"] == 0, calls
+        assert calls["packed"] == 2 * calls["decide"], calls
+        # the same bytes and ticks as searching every query
+        with monkeypatch.context() as forced:
+            forced.setattr(gh_solver, "_decided", lambda doms: False)
+            searched = formats.dumps(formats.bracket_doc(solve(x, y, 1e-3)))
+        assert decided == searched
+        assert calls["backtrack"] > 0
+        spent = [b.limit - b.left for b in budgets[-2:]]
+        assert spent[0] == spent[1], spent
+
+
+def _near_and_unrelated_systems(seed, jitter=0.05):
+    """Pair systems on 3-5 points: a jittered copy sharing its subset, and an unrelated pair."""
+    rng = np.random.default_rng(seed)
+    for n in (3, 4, 5):
+        left = random_space(rng, n)
+        a = random_subset(rng, n, k=n // 2)
+        yield _mask_kernel(_pair(left, a), _pair(jittered_copy(left, rng, jitter), a))
+        yield _mask_kernel(random_pair(rng, n, n), random_pair(rng, n, n))
+
+
+def test_decided_queries_match_backtrack_on_the_pruned_domains():
+    seen = {"decided": 0, "searched": 0}
+    for system, tol in _near_and_unrelated_systems(83):
+        system.budget = _Budget(10**7)
+        halves = np.unique(system.d_ll[system.d_ll > 0]) / 2
+        grid = np.quantile(halves, np.linspace(0.0, 1.0, 7), method="nearest")
+        for t1, t2 in itertools.product(grid, grid):
+            theta = np.add.outer([t1, t2], [t1, t2]) + tol
+            pruned = system._pruned(theta)
+            if pruned is None:
+                continue
+            rows, doms = pruned
+            seen["decided" if gh_solver._decided(doms) else "searched"] += 1
+            for lexicographic in (False, True):
+                got, ticks = _ticks(system, lambda: system.search(theta, lexicographic))
+                want, want_ticks = _ticks(
+                    system,
+                    lambda: gh_solver._backtrack(
+                        list(range(system.nvars)), doms, rows, system.budget.tick, lexicographic
+                    ),
+                )
+                assert got == (None if want is None else [want[i] for i in range(system.nvars)])
+                assert ticks == want_ticks
+    assert all(seen.values()), seen
+
+
+def test_decided_walk_matches_the_decision_search(monkeypatch):
+    # every mismatch and half of one as the total; on these draws the hook
+    # refutes two decided steps, whose single values cost too much
+    seen = {"hit": 0, "refuted": 0}
+    for system, tol in _near_and_unrelated_systems(53, jitter=0.3):
+        system.budget = _Budget(10**7)
+        floor = system.class_floor(2).tolist()
+        values = np.unique(system.d_ll)
+        for total in np.unique(np.concatenate([values, values / 2])):
+            got, ticks = _ticks(system, lambda: system.decide(total, floor))
+            with monkeypatch.context() as m:
+                m.setattr(gh_solver, "_decided", lambda doms: False)
+                want, want_ticks = _ticks(system, lambda: system.decide(total, floor))
+            assert ticks == want_ticks
+            if got[0] is None:
+                assert want[0] is None and got[1] == want[1]
+            else:
+                assert tuple(got[0]) == tuple(want[0]) and got[1] is want[1] is None
+                assert want[0].theta is None
+            bound = total + tol
+            pruned = system._pruned(np.where(np.eye(2, dtype=bool), 2 * bound, bound))
+            decided = pruned is not None and gh_solver._decided(pruned[1])
+            if decided:
+                seen["refuted" if got[0] is None else "hit"] += 1
+            assert got[0] is None or (got[0].theta is not None) == decided
+    assert all(seen.values()), seen
+
+
+def test_witness_read_off_a_decided_hit_is_the_first_witness():
+    # the LP caps of a decided hit lie within its step's thresholds and let
+    # it pass; halved, they refuse it, and loosened past the step's
+    # thresholds, another assignment may come first
+    seen = {"read": 0, "beyond the step": 0, "too tight": 0}
+    rng = np.random.default_rng(86)
+    tuples = [_tuple_system(*_near_tuple(rng, n, depth)) for n, depth in ((4, 2), (5, 3))]
+    for system, tol in [*_near_and_unrelated_systems(87), *tuples]:
+        system.budget = _Budget(10**7)
+        floor = system.class_floor(len(set(system._cls.tolist()))).tolist()
+        loose = np.median(system.d_ll)
+        for total in np.quantile(np.unique(system.d_ll), [0.0, 0.05, 0.1, 0.2], method="nearest"):
+            hit, _ = system.decide(total, floor)
+            if hit is None or hit.theta is None:
+                continue
+            lp_caps = np.array(_lp_min_total(hit[1])[1])
+            for caps in (lp_caps, lp_caps / 2, lp_caps + loose):
+                got, ticks = _ticks(system, lambda: system.witness(caps, hit))
+                want, want_ticks = _ticks(system, lambda: system.first_witness(caps))
+                assert (got, ticks) == (want, want_ticks)
+                theta = system._cap_thresholds(caps)
+                if not (theta <= hit.theta).all():
+                    seen["beyond the step"] += got != hit[0]
+                elif (np.array(hit[1]) <= theta).all():
+                    seen["read"] += 1
+                else:
+                    seen["too tight"] += got != hit[0]
+    assert all(seen.values()), seen
 
 
 def _system_on_balls(p, q, eps):
@@ -1479,3 +1644,44 @@ def test_map_searches_refuse_value_spaces_beyond_the_bitmask_cap():
     # at the cap, the highest bit still carries a value
     top = _pair(line_space(np.arange(62.0)), [61])
     assert rough_isometry_search(small, top, 2.0, 0.5).f == {0: 61, 1: 60}
+
+
+def _pinned_inputs():
+    """Seeded compact-pair, compact-tuple and truncated inputs, by name."""
+    rng = np.random.default_rng(97)
+    near_p, near_q = _near_nine_point_pair()
+    unrelated = [(random_pair(rng, n, n), random_pair(rng, n, n)) for n in (4, 5)]
+    near_tuples = [_near_tuple(rng, 5, depth) for depth in (2, 3)]
+    left, right = random_space(rng, 4), random_space(rng, 4)
+    short = [random_pair(rng, 4, 4, hi=0.8) for _ in range(2)]  # the truncated cap does not bind
+    return {
+        "compact-near": (gh_compact_pair, near_p, near_q),
+        "compact-unrelated-4": (gh_compact_pair, *unrelated[0]),
+        "compact-unrelated-5": (gh_compact_pair, *unrelated[1]),
+        "tuple-near-2": (gh_compact_tuple, *near_tuples[0]),
+        "tuple-near-3": (gh_compact_tuple, *near_tuples[1]),
+        "tuple-unrelated-2": (gh_compact_tuple, _nested_tuple(rng, left, 2), _nested_tuple(rng, right, 2)),
+        "truncated-near": (gh_truncated_pair, near_p, near_q),
+        "truncated-unrelated": (gh_truncated_pair, *short),
+    }
+
+
+# SHA-256 of each report, recorded before arc-consistency-decided queries
+# skipped their searches; a change to any answer byte must update it here.
+PINNED_REPORTS = {
+    "compact-near": "a3f18b2c4d962b9ef428dba04bf1b0732d5cb8ac5f410be8b8d6b5d04b0cd92e",
+    "compact-unrelated-4": "84ca05649edcd7cb919febc7e8f7b1eea862d49ed00e01b7ee9de85d52433be3",
+    "compact-unrelated-5": "776784887ce877d881f4d8cad5f9c68b4d923ba75fe5001c08217eb9672e7df0",
+    "truncated-near": "2dba8aa7f03a9aac8e02e40fb982bc90562d5c5055a5ee451a8b21ab782224c1",
+    "truncated-unrelated": "ddded20685d207674be187b988f2f5cf064a1fb3eb1ab84d3bf76198c2c3dfe2",
+    "tuple-near-2": "dd510e02880b77542d0302e035fef30c553272700c49ed24196a15f827272725",
+    "tuple-near-3": "e9fe2ba2fd4ac93f97c0362ebbba4c914a775c80bc6def251a4c41b8d18a4043",
+    "tuple-unrelated-2": "db4d16a4d47eb86220375859df10a0c593f19b3dcaab668252e4902f2f1a4a48",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_reports_keep_their_pinned_bytes(name):
+    solve, x, y = _pinned_inputs()[name]
+    report = formats.dumps(formats.bracket_doc(solve(x, y, 1e-3))).encode()
+    assert hashlib.sha256(report).hexdigest() == PINNED_REPORTS[name]
