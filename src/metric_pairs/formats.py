@@ -4,6 +4,11 @@ JSON is the primary format; spaces are also accepted as CSV matrices with a
 header row of labels. Serialization sorts keys and keeps floats at full
 precision, so identical values always produce identical bytes and every
 exported document re-imports to an equal value.
+
+Each ``load_*`` parses one file (or text) and builds from the parsed
+document; ``space_from_doc``, ``pair_from_doc``, ``tuple_from_doc`` and
+``gluing_from_doc`` build from a document parsed already, and their errors
+name ``source``, the file it came from.
 """
 
 import csv
@@ -137,11 +142,15 @@ def _labels_to_subset(source, space, labels):
 
 
 def load_pair(source, text=None):
-    doc = _as_doc(source, text)
-    if "_csv" in doc:
-        raise ParseError(source, "pair documents must be JSON")
-    space = space_from_doc(source, _field(source, doc, "space", "pair"))
-    return MetricPair(space, _labels_to_subset(source, space, _field(source, doc, "subset", "pair")))
+    return pair_from_doc(source, _as_doc(source, text))
+
+
+def pair_from_doc(source, doc, kind="pair"):
+    """The pair of ``doc``, a ``kind`` document; errors name ``source``."""
+    if isinstance(doc, dict) and "_csv" in doc:
+        raise ParseError(source, f"{kind} documents must be JSON")
+    space = space_from_doc(source, _field(source, doc, "space", kind))
+    return MetricPair(space, _labels_to_subset(source, space, _field(source, doc, "subset", kind)))
 
 
 def pair_doc(pair):
@@ -152,7 +161,10 @@ def pair_doc(pair):
 
 
 def load_tuple(source, text=None):
-    doc = _as_doc(source, text)
+    return tuple_from_doc(source, _as_doc(source, text))
+
+
+def tuple_from_doc(source, doc):
     space = space_from_doc(source, _field(source, doc, "space", "tuple"))
     levels = _of_type(source, _field(source, doc, "chain", "tuple"), list, "'chain'")
     chain = tuple(_labels_to_subset(source, space, level) for level in levels)
@@ -167,10 +179,10 @@ def tuple_doc(mt):
 
 
 def load_gluing(source, text=None, left=None, right=None):
-    return _gluing_from_doc(source, _as_doc(source, text), left, right)
+    return gluing_from_doc(source, _as_doc(source, text), left, right)
 
 
-def _gluing_from_doc(source, doc, left, right):
+def gluing_from_doc(source, doc, left=None, right=None):
     """The gluing of ``doc``; errors name ``source``, the file it came from."""
     cross = _numbers(source, _field(source, doc, "cross", "gluing"), "'cross' must be equally long lists of numbers")
     if left is None:
@@ -196,11 +208,7 @@ def load_chain(source, text=None):
     pdocs, gdocs = (_of_type(source, _field(source, doc, k, "chain"), list, f"'{k}'") for k in ("pairs", "glues"))
     budgets = _field(source, doc, "eps_budget", "chain")
     budgets = _numbers(source, [budgets], "'eps_budget' must be a list of numbers")[0]
-    pairs = []
-    for pdoc in pdocs:
-        space = space_from_doc(source, _field(source, pdoc, "space", "chain pair"))
-        subset = _field(source, pdoc, "subset", "chain pair")
-        pairs.append(MetricPair(space, _labels_to_subset(source, space, subset)))
+    pairs = [pair_from_doc(source, pdoc, "chain pair") for pdoc in pdocs]
     if len(gdocs) != len(pairs) - 1:
         raise ParseError(source, "a chain needs one gluing per consecutive pair")
     glues = []
@@ -209,7 +217,7 @@ def load_chain(source, text=None):
         # inside a chain the member spaces stand in for omitted sides
         left = pairs[i].space if "left" not in gdoc else None
         right = pairs[i + 1].space if "right" not in gdoc else None
-        glues.append(_gluing_from_doc(source, gdoc, left, right))
+        glues.append(gluing_from_doc(source, gdoc, left, right))
     return build_chain(pairs, glues, budgets.tolist())
 
 

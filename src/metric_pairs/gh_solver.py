@@ -554,12 +554,17 @@ class _MaskSearch:
         ``_lp_min_total`` is its exact cost; its ``theta`` tells whether arc
         consistency decided the step. A refutation gives hit None and
         retry, the smallest total above ``total`` at which this search could
-        decide differently: the next mask level (``_next_mask_level``) or the
-        cheapest LP value the hook dropped, less tol. Below retry the masks,
-        the arc-consistent domains, the search order and every hook verdict
-        are the ones here, so every total in [total, retry) is refuted too.
+        decide differently: the floor's LP value less tol, when that value
+        exceeds total + tol, and otherwise the next mask level
+        (``_next_mask_level``) or the cheapest LP value the hook dropped, less
+        tol. Below retry the masks, the arc-consistent domains, the search
+        order and every hook verdict are the ones here, so every total in
+        [total, retry) is refuted too.
         """
         bound = total + self.tol
+        least = _lp_min_total(floor)[0]
+        if least > bound:  # every assignment costs at least the floor's LP value
+            return None, least - self.tol
         theta = np.where(np.eye(len(floor), dtype=bool), 2 * bound, bound)
         pruned = self._pruned(theta)
         if pruned is None:
@@ -709,7 +714,6 @@ class _BallSystems:
     def __init__(self, full, pair_p, pair_q):
         self.full = full
         self._near = [(subset_distances(x.space, x.a), x.space.tol) for x in (pair_p, pair_q)]
-        self._systems = {}  # kept variables -> sub-system
         self._found = []  # (variables kept, largest mismatch) of each assignment found
         floor = float(full.pair_min.max())
         if floor <= _TRUNCATION_CAP + _TRUNCATION_CAP + full.tol:
@@ -729,12 +733,7 @@ class _BallSystems:
         return self._system(self._keep(eps))
 
     def _system(self, keep):
-        if len(keep) == self.full.nvars:
-            return self.full
-        key = keep.tobytes()
-        if key not in self._systems:
-            self._systems[key] = self.full.subsystem(keep)
-        return self._systems[key]
+        return self.full if len(keep) == self.full.nvars else self.full.subsystem(keep)
 
     def feasible(self, eps):
         """Whether some assignment of the sub-system at eps keeps every cap at eps."""
@@ -883,12 +882,11 @@ def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
     t_lo = lo0
     hit, bound = step(lo0)
     if not hit:
+        # Caps at half the diameter scale fill every mask, and they total at
+        # most n_cls * scale / 2, so every assignment passes: this step hits.
         scale = max(left.diameter, right.diameter)
-        total = max(n_cls * scale / 2, lo0 + resolution)
-        while not hit:  # pseudo caps at half the diameter always glue
-            t_lo = bound
-            hit, bound = step(total)
-            total = 2 * total + resolution
+        t_lo = bound
+        _, bound = step(max(n_cls * scale / 2, lo0 + resolution))
         t_lo, _ = _bisect(step, t_lo, bound, resolution / 2, tol)
     (_, caps), hit = best
     values = system.witness(caps, hit)
@@ -922,11 +920,11 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
     mismatch any assignment can have. Each step is then settled, without a
     search, by any assignment found so far on balls that hold its own and
     whose largest mismatch its threshold eps + eps + tol reaches
-    (``_BallSystems``); only a step nothing settles builds its sub-system,
-    once per pair of balls, and searches it. Every verdict is the one a
-    search would give, so the bracket is that of searching every step, and
-    the witness is the lexicographically first assignment at the final upper
-    end, searched on its own sub-system.
+    (``_BallSystems``); only a step nothing settles builds its sub-system
+    and searches it. Every verdict is the one a search would give, so the
+    bracket is that of searching every step, and the witness is the
+    lexicographically first assignment at the final upper end, searched on
+    its own sub-system.
     """
     pair_p, pair_q = _with_tol_floor(pair_p, pair_q)
     _check_resolution(resolution, pair_p.space, pair_q.space)
@@ -1274,9 +1272,8 @@ def verify_convergence(seq, target, sched, resolution=1e-3, budget=None):
             return _backtrack(all_vars, doms, rows, bud.tick, hook=covers, state=True) is not None
 
         passed = feasible(eps_i)
+        # every map passes at the larger diameter: distortion, image and cover
         e_hi = eps_i if passed else max(left.diameter, right.diameter, eps_i)
-        while not passed and not feasible(e_hi):  # a passing eps_i was searched already
-            e_hi = 2 * e_hi + resolution
         e_lo, e_hi = _bisect(lambda eps: (feasible(eps), eps), 0.0, e_hi, resolution, tol)
         reports.append(
             {

@@ -43,9 +43,6 @@ class MetricTuple:
     def depth(self):
         return len(self.chain)
 
-    def outermost(self):
-        return MetricPair(self.space, self.chain[-1])
-
 
 def hausdorff_of_matrix(dist, a_idx, b_idx):
     """max-min Hausdorff distance between two index sets of one matrix.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -30,6 +31,20 @@ def docs(tmp_path):
     paths["glue"].write_text(formats.dumps(formats.gluing_doc(glue)))
     paths["p_same"] = tmp_path / "p_same.json"
     paths["p_same"].write_text(formats.dumps(formats.pair_doc(MetricPair(left, left.subset([0])))))
+    # two depth-2 tuples, and a chain of three copies of one pair
+    rng = np.random.default_rng(4)
+    for name in ("t", "u"):
+        space = random_space(rng, 4, hi=2.0)
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(formats.dumps(formats.tuple_doc(MetricTuple(space, (space.subset([0]),
+                                                                                    space.subset([0, 2]))))))
+    chain = {
+        "pairs": [formats.pair_doc(p)] * 3,
+        "glues": [formats.gluing_doc(glue)] * 2,
+        "eps_budget": [0.5, 0.5],
+    }
+    paths["chain"] = tmp_path / "chain.json"
+    paths["chain"].write_text(formats.dumps(chain))
     paths["tmp"] = tmp_path
     return paths
 
@@ -184,6 +199,23 @@ def test_malformed_documents_are_parse_errors(docs, capsys, case):
     report = json.loads(capsys.readouterr().out)
     assert "result" not in report
     assert report["error"]["kind"] == "ParseError"
+
+
+@pytest.mark.parametrize("case", ["chain pairs of numbers", "chain pairs of strings", "CSV as gh input"])
+def test_malformed_chain_and_gh_inputs_are_parse_errors(docs, capsys, case):
+    if case == "CSV as gh input":
+        path = docs["tmp"] / "space.csv"
+        path.write_text(formats.space_csv(formats.load_space(str(docs["space"]))))
+        argv, detail = ["gh", str(path), str(docs["q"]), "--resolution", "1e-2"], "pair documents must be JSON"
+    else:
+        doc = json.loads(docs["chain"].read_text())
+        doc["pairs"] = [1, 2, 3] if case == "chain pairs of numbers" else ["p", "q", "r"]
+        path = docs["tmp"] / "bad_pairs_chain.json"
+        path.write_text(json.dumps(doc))
+        argv, detail = ["chain", str(path), "--resolution", "1e-2"], "chain pair document needs 'space'"
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"kind": "ParseError", "detail": f"{path}: {detail}"}
 
 
 def test_parser_is_built_once_and_reused(docs, capsys):
@@ -375,3 +407,78 @@ def test_point_cap_is_not_reported_as_a_budget_abort(tmp_path, capsys):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["kind"] == "SizeLimitExceeded"
     assert "62 points" in error["detail"] and "budget" not in error["detail"]
+
+
+# every verb's stdout and exit code on the fixture documents: reports are
+# byte-deterministic, so a front-end change that alters any byte fails here
+PINNED_VERBS = {
+    "validate": ("validate @space", 0,
+                 "472d84368efca504a7774c89517568267acc35c8460208a8f6c4f376f262e2f3"),
+    "hausdorff": ("hausdorff @p @p_same", 0,
+                  "55162a1cd1a489661b999531c31544780c4e2d5c78962bbf3f1e1f6c8622f6b6"),
+    "gh": ("gh @p @q --resolution 1e-3", 0,
+           "57c934f9044c21c7b97d0c0236b1336cc2ab581b64efcea2657263ddf56d213f"),
+    "gh-tuple": ("gh @t @u --resolution 1e-2", 0,
+                 "9a4795dbd2561ff45ea9aaa604b7470989847467d1c0050208cca3afeda7b77d"),
+    "gh-truncated": ("gh-truncated @p @q --resolution 1e-2", 0,
+                     "fb74807ddf60076b54ae78bea139a3da737891ba11faf3e6a5fb48cea12fe0b2"),
+    "approx": ("approx @p @q --eps 20", 0,
+               "e7a1472e77ebd36e0a33be5cb3a5906f4c9797ab61f14047465a9a37be435599"),
+    "approx-min": ("approx @p @q --resolution 1e-2", 0,
+                   "beb630df7fc38c23d0aa6608ed3ee66e06b144cc156ee3c28715b474e67cc7a2"),
+    "rough-isom": ("rough-isom @p @p --eps 0.4 --R 8", 0,
+                   "f5c6338dc87cfa126c8ef7d26905a0eae725252966d866372fbc7880205a4c7d"),
+    "counts": ("counts @p --grid 0.5,1.0", 0,
+               "9dd311bb14e4889a6259aa8b3f7a1517e382120ee51fbe58c4051214f871dd96"),
+    "counts-csv": ("counts @p --grid 0.5,1.0 --format csv", 0,
+                   "28ba23a5c487db803cf6f8140691b4736e36112c720ae4ba9d5ada7dc8bb5147"),
+    "certify-family": ("certify-family @p @p_same --grid 0.4,0.8 --format csv", 0,
+                       "26c8e042b0d79d2d48521315987e17965d92bb65e58ca0d26e1ca2b0649cd917"),
+    "check-lemma": ("check-lemma @p_same @p_same @glue --eps 0.45 --r 0.4 --R 2", 0,
+                    "aced20cf5fc1c4bce8950b0d469bf7b4f6cbe862eff04c42f29af0a08c6737ed"),
+    "glue": ("glue @glue @p @p_same --eps 1.0", 0,
+             "5a2d7fc6515ec2f0bd8fd5e91bd130ad1217869c352c056037837cf5f66abfbe"),
+    "chain": ("chain @chain --resolution 1e-2", 0,
+              "6fc079ce953514ce3d61c43b5151dd3a189f0b732a6f5bbf90680f47040f7ec2"),
+    "isometry": ("isometry @p @q", 1,
+                 "ac8176cbd846299c89d7d7b2426596a32765c82e18beae651e3d9e28564ac811"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_VERBS))
+def test_verb_reports_keep_their_pinned_bytes(docs, capsys, name):
+    argv, code, digest = PINNED_VERBS[name]
+    assert main([str(docs[w[1:]]) if w.startswith("@") else w for w in argv.split()]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# each verb's input count and required flags
+VERB_ARGS = {
+    "validate": "1", "hausdorff": "2", "gh": "2 --resolution 1e-3", "gh-truncated": "2 --resolution 1e-3",
+    "approx": "2 --eps 0.5", "rough-isom": "2 --eps 0.4 --R 8", "counts": "1 --r 0.5",
+    "certify-family": "2 --grid 0.4", "check-lemma": "3 --eps 0.4 --r 0.4 --R 2", "glue": "1",
+    "chain": "1 --resolution 1e-2", "isometry": "2",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_ARGS))
+def test_errors_are_json_reports_under_format_csv(docs, capsys, verb):
+    inputs, *flags = VERB_ARGS[verb].split()
+    missing = [str(docs["tmp"] / "missing.json")] * int(inputs)
+    assert main([verb, *missing, *flags, "--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["error"]["kind"] == "FileNotFoundError" and "result" not in report
+    assert err == ""
+
+
+@pytest.mark.parametrize("extra", [[], ["p", "p_same"], ["--pseudo"]])
+def test_glue_errors_name_the_gluing_file(docs, capsys, extra):
+    doc = formats.gluing_doc(formats.load_gluing(str(docs["glue"])))
+    del doc["cross"]
+    path = docs["tmp"] / "no_cross.json"
+    path.write_text(formats.dumps(doc))
+    assert main(["glue", str(path), *[str(docs[w]) if w in docs else w for w in extra]]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "ParseError"
+    assert error["detail"] == f"{path}: gluing document needs 'cross'"

@@ -684,6 +684,20 @@ def _ticks(system, query):
     return query(), left - system.budget.left
 
 
+def test_decide_refutes_totals_below_the_floor_cost():
+    # every assignment costs at least the floor's LP value lo0, so a total
+    # whose bound lies below it is refuted with no search and retry lo0 - tol;
+    # the hook prices only maxima grown past the floor and cannot tell
+    system, tol = _tuple_system(*_near_tuple(np.random.default_rng(85), 4, 2))
+    floor = system.class_floor(3).tolist()
+    lo0 = _lp_min_total(floor)[0]
+    for total in (lo0 - 1.5 * tol, lo0 / 2, 0.0):
+        (hit, retry), ticks = _ticks(system, lambda: system.decide(total, floor))
+        assert hit is None and retry == lo0 - tol and ticks == 0, (total, hit)
+    hit, retry = system.decide(lo0 - tol, floor)
+    assert hit is not None and _lp_min_total(hit[1])[0] <= lo0
+
+
 # Arc consistency leaves one value per variable at every step of these near
 # inputs, so they run no search: each step builds its two packed tensors, and
 # the witness at the final caps is the decided step's assignment.
@@ -852,10 +866,11 @@ def test_truncated_subsystems_equal_systems_built_on_the_balls():
             sub = systems.system(eps)
             ref, balls = _system_on_balls(p, q, eps)
             seen.add(tuple(map(len, balls)))
-            # eps values with the same balls get the same sub-system, and only they do
+            # eps values with the same balls get equal sub-systems, and only they do
             shared += balls in by_balls
-            assert by_balls.setdefault(balls, sub) is sub
-            assert len({id(s) for s in by_balls.values()}) == len(by_balls)
+            kept = by_balls.setdefault(balls, sub)
+            assert kept.vars == sub.vars and kept.meta == sub.meta
+            assert len({tuple(s.meta) for s in by_balls.values()}) == len(by_balls)
             assert sub.vars == ref.vars and sub.meta == ref.meta
             assert np.array_equal(sub.pair_min, ref.pair_min)
             theta = np.full((2, 2), 2 * eps + tol)
