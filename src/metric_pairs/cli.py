@@ -135,6 +135,8 @@ def _run_check_lemma(args):
 def _run_glue(args):
     if len(args.inputs) not in (1, 3):
         raise formats.ParseError("glue", "takes a gluing document, optionally plus two pair documents")
+    if len(args.inputs) == 1 and args.eps is not None:
+        raise formats.ParseError("glue", "--eps checks eps-admissibility, which needs the two pair documents")
     path = args.inputs[0]
     doc = formats._as_doc(path)
     if args.pseudo:
@@ -255,10 +257,15 @@ def main(argv=None):
     else:
         text = formats.dumps(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+        except OSError as exc:  # an unwritable report path is an input error, reported on stdout
+            report.pop("result", None)
+            code, report["error"] = EXIT_INPUT, {"kind": type(exc).__name__, "detail": str(exc)}
+            text = formats.dumps(report)
+    sys.stdout.write(text)
     return code
 
 

@@ -22,8 +22,10 @@ query, one row per ordered variable pair. A bit-parallel arc-consistency
 fixpoint over that tensor (Mackworth 1977) refutes most infeasible caps
 before any search. On near inputs it leaves one value per variable for most
 of the rest, which decides them without a search: that assignment is the
-one every search order would find. One backtracking search over all
-variables decides the others.
+one every search order would find, and one walk over the variables reads
+it off. One backtracking search over all variables decides the others.
+Every cap query, at fixed caps or at a bounded cap total, takes this one
+path, on a system built in one call from its list of variables.
 
 One forward-checking kernel, ``_backtrack``, serves every map search: cap
 assignments, approximations, rough isometries, isometries and convergence
@@ -62,7 +64,6 @@ witnesses found, and searched only where that cannot decide them, so every
 bracket and witness is that of searching every step.
 """
 
-import copy
 import numbers
 import os
 from dataclasses import dataclass, replace
@@ -300,17 +301,6 @@ def _decided(doms):
     return not any(d & (d - 1) for d in doms)
 
 
-class _Hit(tuple):
-    """A ``decide`` hit, which unpacks as (values, maxima). ``theta`` is the
-    step's threshold matrix when arc consistency alone decided the step, and
-    None when it took a search."""
-
-    def __new__(cls, values, maxima, theta):
-        hit = super().__new__(cls, (values, maxima))
-        hit.theta = theta
-        return hit
-
-
 class _MaskSearch:
     """Cap-assignment searches over two spaces, with bitmask forward checking.
 
@@ -318,17 +308,20 @@ class _MaskSearch:
     left point to a right point, side 1 the reverse. ``cls`` indexes the cap
     budget the variable's edge consumes. The mismatch of an ordered variable
     pair at values (p, q) is |d_L - d_R| of the induced point pairs; one
-    family tensor, ``d_ll``, holds those mismatches for every combination.
+    family tensor, ``d_ll`` (``_mismatches(dl, dr)``), holds those mismatches
+    for every combination, and sub-systems share it.
 
-    ``finalize`` builds every table a search needs once, in bulk. Each
-    variable's domain is padded to one width by repeating its first value,
-    which a minimum ignores. The mismatch of variables i and j at their p-th
-    and q-th values then sits at ``head[i, p] + tail[j, q]`` of the flattened
-    family tensor, where ``head`` holds the flat offsets of the induced point
-    pair's first entries and ``tail`` those of its second ones. One gather at
-    that index map, in row chunks over the upper columns of at most
-    ``_CHUNK`` elements, gives ``pair_min[i, j]`` (i < j; zero on and below
-    the diagonal), the smallest mismatch over both domains. The chunks keep
+    The constructor takes the variables as (side, source, class, domain
+    mask, kind, key), kind and key labelling the witness, and builds every
+    table a search needs once, in bulk. Each variable's domain is padded to
+    one width by repeating its first value, which a minimum ignores. The
+    mismatch of variables i and j at their p-th and q-th values then sits at
+    ``head[i, p] + tail[j, q]`` of the flattened family tensor, where
+    ``head`` holds the flat offsets of the induced point pair's first
+    entries and ``tail`` those of its second ones. One gather at that index
+    map, in row chunks over the upper columns of at most ``_CHUNK``
+    elements, gives ``pair_min[i, j]`` (i < j; zero on and below the
+    diagonal), the smallest mismatch over both domains. The chunks keep
     every temporary far below the size of the family tensor, and small
     enough to reuse heap memory.
 
@@ -337,88 +330,66 @@ class _MaskSearch:
     index from one packed tensor per distinct threshold, over the union of
     both spaces' points.
 
-    Every query first prunes all domains to the greatest arc-consistent ones
-    with a bit-parallel fixpoint over the row tensor. When that leaves one
-    value per variable, arc consistency has decided the query: each value
-    has a support in every other singleton domain, so forward checking
-    never wipes out and any search order visits each variable once, with one
-    tick each. Such a query ticks once per variable and runs no search; every
-    other query runs one ``_backtrack`` over all variables. A query at fixed
-    caps uses the thresholds caps_i + caps_j + tol: ``feasible`` assigns the
-    most constrained variable first (much faster at refuting, and the
-    verdict cannot depend on order), and ``first_witness`` explores
-    variables in their fixed order with values ascending, so the assignment
-    it returns is the lexicographically first one. ``decide`` bounds the
-    total of the caps instead of each cap.
+    Every query goes through ``_assign``, which first prunes all domains to
+    the greatest arc-consistent ones with a bit-parallel fixpoint over the
+    row tensor. When that leaves one value per variable, arc consistency has
+    decided the query: each value has a support in every other singleton
+    domain, so forward checking never wipes out and any search order visits
+    each variable once, with one tick each. Such a query ticks once per
+    variable and runs no search; every other query runs one ``_backtrack``
+    over all variables. A query at fixed caps uses the thresholds caps_i +
+    caps_j + tol: ``feasible`` assigns the most constrained variable first
+    (much faster at refuting, and the verdict cannot depend on order), and
+    ``first_witness`` explores variables in their fixed order with values
+    ascending, so the assignment it returns is the lexicographically first
+    one. ``decide`` bounds the total of the caps instead of each cap.
     """
 
     # Elements per gathered block: its int64 index array and float64 values
     # stay at 64 KiB or less, under glibc's default 128 KiB mmap threshold,
     # so each block reuses heap memory instead of mapping and unmapping fresh
-    # pages. Against 1 << 16, finalize on a 9-point near pair (26 variables)
+    # pages. Against 1 << 16, the build on a 9-point near pair (26 variables)
     # takes about 0.6 of the time, and on 24 and 40 points no longer.
     _CHUNK = 1 << 13
 
-    def __init__(self, dl, dr, tol, budget):
-        nl, nr = len(dl), len(dr)
-        _check_size(dl, dr)
-        self.dl, self.dr, self.tol = dl, dr, tol
+    def __init__(self, dl, dr, d_ll, tol, budget, variables):
+        self.dl, self.dr, self.d_ll, self.tol, self.budget = dl, dr, d_ll, tol, budget
         self._dl_rows, self._dr_rows = dl.tolist(), dr.tolist()
-        self.nl, self.nr = nl, nr
-        self.budget = budget
-        self.d_ll = _mismatches(dl, dr)  # [x1, x2, y1, y2] = |d_L(x1, x2) - d_R(y1, y2)|
+        self.nl, self.nr = nl, nr = len(dl), len(dr)
         self._bits = _bit_weights(max(nl, nr))
-        self.vars = []  # (side, src, cls, domain_mask)
-        self.meta = []  # (kind, key) labels for witness extraction
-
-    def add_var(self, side, src, cls, domain, kind, key):
-        mask = 0
-        for v in domain:
-            mask |= 1 << int(v)
-        self.vars.append((side, int(src), int(cls), mask))
-        self.meta.append((kind, key))
-
-    def finalize(self):
+        self.vars = [(side, int(src), int(cls), mask) for side, src, cls, mask, _, _ in variables]
+        self.meta = [(kind, key) for *_, kind, key in variables]  # labels for witness extraction
+        self.nvars = v = len(self.vars)
         side, src, self._cls, self._full = (np.array(col, dtype=np.int64) for col in zip(*self.vars))
-        self.domlists = [_mask_bits(m) for (_, _, _, m) in self.vars]
-        self._point = src + side * self.nl  # source point in the union of both spaces
+        self._point = src + side * nl  # source point in the union of both spaces
         side, src = side[:, None], src[:, None]
         # the left and the right point of each variable's edge, per value
         values = np.arange(len(self._bits))
         self._left_at = np.where(side == 0, src, values).tolist()
         self._right_at = np.where(side == 0, values, src).tolist()
         # the same per domain position, padded with the first value, which a minimum ignores
-        width = max(map(len, self.domlists))
-        dom = np.array([d + d[:1] * (width - len(d)) for d in self.domlists])
+        domains = [_mask_bits(m) for (_, _, _, m) in self.vars]
+        width = max(map(len, domains))
+        dom = np.array([d + d[:1] * (width - len(d)) for d in domains])
         left, right = np.where(side == 0, src, dom), np.where(side == 0, dom, src)
-        head, tail = (left * self.nl * self.nr + right) * self.nr, left * self.nr * self.nr + right
-        v, flat = len(self.vars), self.d_ll.reshape(-1)
+        head, tail = (left * nl * nr + right) * nr, left * nr * nr + right
+        flat = d_ll.reshape(-1)
         pair_min = np.zeros((v, v))
         step = max(1, self._CHUNK // (v * width * width))
         for start in range(0, v - 1, step):
             rows, cols = slice(start, min(start + step, v - 1)), slice(start + 1, None)
             pair_min[rows, cols] = flat[head[rows, None, :, None] + tail[None, cols, None, :]].min(axis=(2, 3))
-        self._tables(np.triu(pair_min, 1))
-
-    def _tables(self, pair_min):
-        """The pair table, and the upper-triangle views the mask builder tests."""
-        self.nvars = v = len(self.vars)
-        self.pair_min = pair_min
+        self.pair_min = np.triu(pair_min, 1)
+        # the upper-triangle views the mask builder tests
         upper = np.triu_indices(v, 1)
-        self._pair_min_upper = pair_min[upper]
+        self._pair_min_upper = self.pair_min[upper]
         self._cls_upper = (self._cls[upper[0]], self._cls[upper[1]])
 
     def subsystem(self, keep):
-        """The system restricted to the variables ``keep`` (ascending), in their
-        order. Its tables are sub-matrices of this system's, and it shares the
-        family tensor and the budget."""
-        sub = copy.copy(self)
-        sub.vars, sub.meta = [self.vars[k] for k in keep], [self.meta[k] for k in keep]
-        sub.domlists = [self.domlists[k] for k in keep]
-        sub._cls, sub._point, sub._full = self._cls[keep], self._point[keep], self._full[keep]
-        sub._left_at, sub._right_at = [self._left_at[k] for k in keep], [self._right_at[k] for k in keep]
-        sub._tables(self.pair_min[np.ix_(keep, keep)])
-        return sub
+        """The system of the variables ``keep`` (ascending), in their order,
+        sharing this system's family tensor and budget."""
+        variables = [self.vars[k] + self.meta[k] for k in keep]
+        return _MaskSearch(self.dl, self.dr, self.d_ll, self.tol, self.budget, variables)
 
     def class_floor(self, n_classes):
         """Entrywise lower bound on any assignment's per-class-pair mismatch maxima."""
@@ -485,18 +456,40 @@ class _MaskSearch:
         doms = self._arc_consistent(rows)
         return None if doms is None else (rows, doms)
 
-    def search(self, theta, lexicographic=False):
-        """An assignment whose mismatches stay within the per-class-pair
-        threshold matrix ``theta``, or None."""
+    def _assign(self, theta, lexicographic, hook=None, state=None):
+        """What one search over all variables finds at the per-class-pair
+        threshold matrix ``theta``, as (values, decided), or None; ``hook``
+        and ``state`` are ``_backtrack``'s. When arc consistency decided the
+        query, the search is a walk in index order, the most-constrained
+        order when every domain has size 1 (ties go to the earliest): the
+        hook sees each variable with the same partial assignment, and the
+        walk stops at the first value it drops."""
         pruned = self._pruned(theta)
         if pruned is None:
             return None
         rows, doms = pruned
-        if _decided(doms):
-            self.budget.tick(self.nvars)  # the search would try each variable's one value
-            return [d.bit_length() - 1 for d in doms]
-        got = _backtrack(list(range(self.nvars)), doms, rows, self.budget.tick, lexicographic)
-        return None if got is None else [got[i] for i in range(self.nvars)]
+        decided = _decided(doms)
+        if decided:
+            got = {}
+            for i, d in enumerate(doms):
+                self.budget.tick()
+                p = d.bit_length() - 1
+                if hook is not None:
+                    state = hook(state, i, p, got, None)  # decide's hook reads no domains
+                    if state is None:
+                        return None
+                got[i] = p
+        else:
+            got = _backtrack(list(range(self.nvars)), doms, rows, self.budget.tick, lexicographic, hook, state)
+            if got is None:
+                return None
+        return [got[i] for i in range(self.nvars)], decided
+
+    def search(self, theta, lexicographic=False):
+        """An assignment whose mismatches stay within the per-class-pair
+        threshold matrix ``theta``, or None."""
+        got = self._assign(theta, lexicographic)
+        return None if got is None else got[0]
 
     def _cap_thresholds(self, budgets):
         caps = np.asarray(budgets, dtype=float)
@@ -520,14 +513,15 @@ class _MaskSearch:
     def witness(self, budgets, hit):
         """``first_witness(budgets)``, read off ``hit``, a ``decide`` hit,
         when arc consistency decided its step and the caps lie within it."""
+        values, maxima, step_theta = hit
         theta = self._cap_thresholds(budgets)
-        if hit.theta is not None and (theta <= hit.theta).all() and (np.array(hit[1]) <= theta).all():
+        if step_theta is not None and (theta <= step_theta).all() and (np.array(maxima) <= theta).all():
             # The masks at the caps are a subset of the step's masks, so their
             # arc-consistent domains lie inside the step's singletons. The
             # hit keeps every mismatch within the caps, so it survives, and
             # the search would return it after one tick per variable.
             self.budget.tick(self.nvars)
-            return hit[0]
+            return values
         return self.first_witness(budgets)
 
     def decide(self, total, floor):
@@ -543,33 +537,23 @@ class _MaskSearch:
         search, whose hook carries the running maxima down and drops a value
         once they grow past the total.
 
-        When arc consistency leaves one value per variable, the search is a
-        walk over the variables in index order, which is the most-constrained
-        order when every domain has size 1 (ties go to the earliest): the
-        hook sees each variable once with the same partial assignment, and
-        each costs one tick. The walk stops at the first value the hook drops.
-
-        A hit is a ``_Hit`` (values, maxima) with retry None: ``maxima`` are
-        the assignment's per-class-pair mismatch maxima, and their
-        ``_lp_min_total`` is its exact cost; its ``theta`` tells whether arc
-        consistency decided the step. A refutation gives hit None and
-        retry, the smallest total above ``total`` at which this search could
-        decide differently: the floor's LP value less tol, when that value
-        exceeds total + tol, and otherwise the next mask level
-        (``_next_mask_level``) or the cheapest LP value the hook dropped, less
-        tol. Below retry the masks, the arc-consistent domains, the search
-        order and every hook verdict are the ones here, so every total in
-        [total, retry) is refuted too.
+        A hit is (values, maxima, theta) with retry None: ``maxima`` are the
+        assignment's per-class-pair mismatch maxima, and their
+        ``_lp_min_total`` is its exact cost; ``theta`` is the step's
+        threshold matrix when arc consistency decided the step, and None when
+        it took a search. A refutation gives hit None and retry, the smallest
+        total above ``total`` at which this search could decide differently:
+        the floor's LP value less tol, when that value exceeds total + tol,
+        and otherwise the next mask level (``_next_mask_level``) or the
+        cheapest LP value the hook dropped, less tol. Below retry the masks,
+        the arc-consistent domains, the search order and every hook verdict
+        are the ones here, so every total in [total, retry) is refuted too.
         """
         bound = total + self.tol
         least = _lp_min_total(floor)[0]
         if least > bound:  # every assignment costs at least the floor's LP value
             return None, least - self.tol
         theta = np.where(np.eye(len(floor), dtype=bool), 2 * bound, bound)
-        pruned = self._pruned(theta)
-        if pruned is None:
-            return None, self._next_mask_level(total)
-        rows, doms = pruned
         cls, left, right, dl, dr = self._cls.tolist(), self._left_at, self._right_at, self._dl_rows, self._dr_rows
         last = self.nvars - 1
         final = []
@@ -600,22 +584,11 @@ class _MaskSearch:
             return m
 
         # every assignment's maxima reach the class floor, so the search starts there
-        if _decided(doms):
-            got, m = {}, floor
-            for i, d in enumerate(doms):
-                self.budget.tick()
-                p = d.bit_length() - 1
-                m = hook(m, i, p, got, None)  # the hook reads no domains
-                if m is None:
-                    got = None
-                    break
-                got[i] = p
-        else:
-            theta = None
-            got = _backtrack(list(range(self.nvars)), doms, rows, self.budget.tick, False, hook=hook, state=floor)
-        if got is None:
+        got = self._assign(theta, False, hook, floor)
+        if got is None:  # dropped stays inf when no search ran
             return None, min(self._next_mask_level(total), dropped - self.tol)
-        return _Hit([got[i] for i in range(self.nvars)], final[-1], theta), None
+        values, decided = got
+        return (values, final[-1], theta if decided else None), None
 
     def _next_mask_level(self, total):
         """The smallest total above ``total`` at which ``decide`` builds other
@@ -675,18 +648,20 @@ def _lp_min_total(m):
     return weight / 2.0, [(u[i] + v[i]) / 2.0 for i in range(1, c + 1)]
 
 
-def _tuple_vars(system, tuple_t, tuple_u):
-    """Tuple layout: f and g in class 0, then the subset maps of chain level k
-    both ways in class k + 1. Fixed order keeps witnesses lexicographic."""
-    for x in range(system.nl):
-        system.add_var(0, x, 0, range(system.nr), "f", x)
-    for y in range(system.nr):
-        system.add_var(1, y, 0, range(system.nl), "g", y)
-    for k in range(tuple_t.depth):
-        for a in tuple_t.chain[k].indices:
-            system.add_var(0, a, k + 1, tuple_u.chain[k].indices, "alpha", (k, a))
-        for b in tuple_u.chain[k].indices:
-            system.add_var(1, b, k + 1, tuple_t.chain[k].indices, "beta", (k, b))
+def _tuple_system(tuple_t, tuple_u, tol, budget):
+    """The cap system of two tuples: f and g in class 0, then the subset maps
+    of chain level k both ways in class k + 1. Fixed order keeps witnesses
+    lexicographic."""
+    dl, dr = tuple_t.space.dist, tuple_u.space.dist
+    _check_size(dl, dr)
+    nl, nr = len(dl), len(dr)
+    variables = [(0, x, 0, (1 << nr) - 1, "f", x) for x in range(nl)]
+    variables += [(1, y, 0, (1 << nl) - 1, "g", y) for y in range(nr)]
+    for k, (a, b) in enumerate(zip(tuple_t.chain, tuple_u.chain)):
+        mask_a, mask_b = (sum(1 << int(v) for v in ref.indices) for ref in (a, b))
+        variables += [(0, x, k + 1, mask_b, "alpha", (k, x)) for x in a.indices]
+        variables += [(1, y, k + 1, mask_a, "beta", (k, y)) for y in b.indices]
+    return _MaskSearch(dl, dr, _mismatches(dl, dr), tol, budget, variables)
 
 
 class _BallSystems:
@@ -807,20 +782,10 @@ def _swap_for_canonical_order(space_p, chain_p, space_q, chain_q):
 
 
 def _mirror_bracket(bracket):
-    witness = bracket.witness
+    witness, cert = bracket.witness, bracket.certificate
     if witness is not None and "f" in witness:
-        witness = dict(witness)
-        witness["f"], witness["g"] = witness["g"], witness["f"]
-        witness["alpha"], witness["beta"] = witness["beta"], witness["alpha"]
-    return DistanceBracket(
-        lo=bracket.lo,
-        hi=bracket.hi,
-        resolution=bracket.resolution,
-        certificate=bracket.certificate.transposed() if bracket.certificate else None,
-        lo_reason=bracket.lo_reason,
-        witness=witness,
-        tol=bracket.tol,
-    )
+        witness = dict(witness, f=witness["g"], g=witness["f"], alpha=witness["beta"], beta=witness["alpha"])
+    return replace(bracket, certificate=cert.transposed() if cert else None, witness=witness)
 
 
 def gh_compact_pair(pair_p, pair_q, resolution, budget=None):
@@ -861,9 +826,7 @@ def gh_compact_tuple(tuple_t, tuple_u, resolution, budget=None):
     left, right = tuple_t.space, tuple_u.space
     tol = max(left.tol, right.tol)
     n_cls = tuple_t.depth + 1
-    system = _MaskSearch(left.dist, right.dist, tol, bud)
-    _tuple_vars(system, tuple_t, tuple_u)
-    system.finalize()
+    system = _tuple_system(tuple_t, tuple_u, tol, bud)
     floor = system.class_floor(n_cls).tolist()
     best = None  # ((LP cost, caps), hit) of the cheapest assignment found
 
@@ -933,9 +896,7 @@ def gh_truncated_pair(pair_p, pair_q, resolution, budget=None):
     bud = _Budget(_budget_limit(budget))
     left, right = pair_p.space, pair_q.space
     tol = max(left.tol, right.tol)
-    full = _MaskSearch(left.dist, right.dist, tol, bud)
-    _tuple_vars(full, MetricTuple(left, (pair_p.a,)), MetricTuple(right, (pair_q.a,)))
-    full.finalize()
+    full = _tuple_system(MetricTuple(left, (pair_p.a,)), MetricTuple(right, (pair_q.a,)), tol, bud)
     cap = _TRUNCATION_CAP
     systems = _BallSystems(full, pair_p, pair_q)
     if not systems.feasible(cap):

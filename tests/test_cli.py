@@ -359,6 +359,15 @@ def test_missing_file_is_input_error(docs, capsys):
     capsys.readouterr()
 
 
+def test_report_path_in_a_missing_directory_is_input_error(docs, capsys):
+    out = docs["tmp"] / "nodir" / "x.json"
+    assert main(["validate", str(docs["space"]), "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    report = json.loads(stdout)
+    assert report["error"]["kind"] == "FileNotFoundError" and "result" not in report
+    assert err == "" and not out.parent.exists()
+
+
 def test_glue_pseudo_flag(docs, capsys):
     space = formats.load_space(str(docs["space"]))
     doc = {
@@ -372,6 +381,12 @@ def test_glue_pseudo_flag(docs, capsys):
     capsys.readouterr()
     assert main(["glue", str(path), "--pseudo"]) == 0
     capsys.readouterr()
+
+
+def test_glue_eps_needs_the_two_pair_documents(docs, capsys):
+    assert main(["glue", str(docs["glue"]), "--eps", "0.0001"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "ParseError" and "two pair documents" in error["detail"]
 
 
 def test_pair_document_without_subset_is_parse_error(docs, capsys):

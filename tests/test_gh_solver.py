@@ -39,7 +39,6 @@ from metric_pairs.gh_solver import (
     _Budget,
     _lp_min_total,
     _MaskSearch,
-    _tuple_vars,
 )
 
 import oracles
@@ -306,7 +305,7 @@ def test_mask_kernel_verdicts_match_raw_enumeration_oracle(n_right, monkeypatch)
                     seen["refuted_after_masks"] += 1
                 for values in (got, first) if want else ():
                     for i in range(system.nvars):
-                        assert values[i] in system.domlists[i]
+                        assert values[i] in _domain(system.vars[i][3])
                         for j in range(i + 1, system.nvars):
                             bound = caps[system.vars[i][2]] + caps[system.vars[j][2]] + tol
                             assert _mismatch(system, i, values[i], j, values[j]) <= bound
@@ -338,7 +337,6 @@ def _largest_reference_mismatch(system):
 
 def _assert_tables_match_reference(system, n_classes):
     v = system.nvars
-    assert system.domlists == [_domain(m) for (_, _, _, m) in system.vars]
     floor = np.zeros((n_classes, n_classes))
     for i in range(v):
         assert system.pair_min[i, i] == 0.0
@@ -367,8 +365,9 @@ def _assert_masks_match_reference(system, theta):
             if i == j:
                 continue
             block = _reference_block(system, i, j)
-            for a, p in enumerate(system.domlists[i]):
-                want = sum(1 << q for b, q in enumerate(system.domlists[j]) if block[a, b] <= theta[cls[i], cls[j]])
+            dom_j = _domain(system.vars[j][3])
+            for a, p in enumerate(_domain(system.vars[i][3])):
+                want = sum(1 << q for b, q in enumerate(dom_j) if block[a, b] <= theta[cls[i], cls[j]])
                 assert int(rows[i, j, p]) & system.vars[j][3] == want
     return 1
 
@@ -381,10 +380,7 @@ def _nested_tuple(rng, space, depth):
 
 def _tuple_system(t, u):
     tol = max(t.space.tol, u.space.tol)
-    system = _MaskSearch(t.space.dist, u.space.dist, tol, _Budget(10**6))
-    _tuple_vars(system, t, u)
-    system.finalize()
-    return system, tol
+    return gh_solver._tuple_system(t, u, tol, _Budget(10**6)), tol
 
 
 def test_mask_kernel_tables_match_per_pair_reference():
@@ -426,7 +422,8 @@ def test_lp_search_tables_match_per_pair_reference(depth):
         _assert_tables_match_reference(system, depth + 1)
         for j in range(system.nvars):
             for i in range(j + 1, system.nvars):
-                got = [[_mismatch(system, j, p, i, q) for q in system.domlists[i]] for p in system.domlists[j]]
+                got = [[_mismatch(system, j, p, i, q) for q in _domain(system.vars[i][3])]
+                       for p in _domain(system.vars[j][3])]
                 assert got == _reference_block(system, j, i).tolist()
         # no pair is hopeless once the total reaches the largest pair_min
         m, big = system.pair_min.max(), _largest_reference_mismatch(system)
@@ -478,7 +475,7 @@ def test_decision_search_matches_brute_force_min_cost():
             verdicts.append(hit is not None)
             if hit is not None:
                 assert retry is None
-                values, maxima = hit
+                values, maxima, _ = hit
                 m = oracles.cap_class_maxima(dl, dr, chain_l, chain_r, values)
                 assert np.array_equal(m, maxima)
                 assert oracles.lp_min_total_vertices(m) <= total + tol
@@ -788,14 +785,14 @@ def test_decided_walk_matches_the_decision_search(monkeypatch):
             if got[0] is None:
                 assert want[0] is None and got[1] == want[1]
             else:
-                assert tuple(got[0]) == tuple(want[0]) and got[1] is want[1] is None
-                assert want[0].theta is None
+                assert got[0][:2] == want[0][:2] and got[1] is want[1] is None
+                assert want[0][2] is None
             bound = total + tol
             pruned = system._pruned(np.where(np.eye(2, dtype=bool), 2 * bound, bound))
             decided = pruned is not None and gh_solver._decided(pruned[1])
             if decided:
                 seen["refuted" if got[0] is None else "hit"] += 1
-            assert got[0] is None or (got[0].theta is not None) == decided
+            assert got[0] is None or (got[0][2] is not None) == decided
     assert all(seen.values()), seen
 
 
@@ -812,7 +809,7 @@ def test_witness_read_off_a_decided_hit_is_the_first_witness():
         loose = np.median(system.d_ll)
         for total in np.quantile(np.unique(system.d_ll), [0.0, 0.05, 0.1, 0.2], method="nearest"):
             hit, _ = system.decide(total, floor)
-            if hit is None or hit.theta is None:
+            if hit is None or hit[2] is None:
                 continue
             lp_caps = np.array(_lp_min_total(hit[1])[1])
             for caps in (lp_caps, lp_caps / 2, lp_caps + loose):
@@ -820,7 +817,7 @@ def test_witness_read_off_a_decided_hit_is_the_first_witness():
                 want, want_ticks = _ticks(system, lambda: system.first_witness(caps))
                 assert (got, ticks) == (want, want_ticks)
                 theta = system._cap_thresholds(caps)
-                if not (theta <= hit.theta).all():
+                if not (theta <= hit[2]).all():
                     seen["beyond the step"] += got != hit[0]
                 elif (np.array(hit[1]) <= theta).all():
                     seen["read"] += 1
@@ -834,18 +831,13 @@ def _system_on_balls(p, q, eps):
     alone, with the balls' points."""
     left, right = p.space, q.space
     a, b = list(p.a.indices), list(q.a.indices)
-    ref = _MaskSearch(left.dist, right.dist, max(left.tol, right.tol), _Budget(10**6))
     ball_l = [x for x in range(len(left)) if left.dist[x, a].min() <= 1 / eps + left.tol]
     ball_r = [y for y in range(len(right)) if right.dist[y, b].min() <= 1 / eps + right.tol]
-    for x in ball_l:
-        ref.add_var(0, x, 0, range(len(right)), "f", x)
-    for y in ball_r:
-        ref.add_var(1, y, 0, range(len(left)), "g", y)
-    for x in a:
-        ref.add_var(0, x, 1, b, "alpha", (0, x))
-    for y in b:
-        ref.add_var(1, y, 1, a, "beta", (0, y))
-    ref.finalize()
+    mask_l, mask_r, mask_a, mask_b = (sum(1 << v for v in d) for d in (range(len(left)), range(len(right)), a, b))
+    variables = [(0, x, 0, mask_r, "f", x) for x in ball_l] + [(1, y, 0, mask_l, "g", y) for y in ball_r]
+    variables += [(0, x, 1, mask_b, "alpha", (0, x)) for x in a] + [(1, y, 1, mask_a, "beta", (0, y)) for y in b]
+    d_ll = gh_solver._mismatches(left.dist, right.dist)
+    ref = _MaskSearch(left.dist, right.dist, d_ll, max(left.tol, right.tol), _Budget(10**6), variables)
     return ref, (tuple(ball_l), tuple(ball_r))
 
 
@@ -858,9 +850,7 @@ def test_truncated_subsystems_equal_systems_built_on_the_balls():
         a = random_subset(rng, 5, k=2)
         p, q = _pair(left, a), _pair(right, a)
         tol = max(left.tol, right.tol)
-        full = _MaskSearch(left.dist, right.dist, tol, _Budget(10**6))
-        _tuple_vars(full, MetricTuple(left, (p.a,)), MetricTuple(right, (q.a,)))
-        full.finalize()
+        full = gh_solver._tuple_system(MetricTuple(left, (p.a,)), MetricTuple(right, (q.a,)), tol, _Budget(10**6))
         systems, by_balls = _BallSystems(full, p, q), {}
         for eps in (0.5, 0.3, 0.2, 0.12, 0.08, 0.07):
             sub = systems.system(eps)
@@ -946,15 +936,17 @@ def test_system_retains_one_family_tensor():
 
 
 def test_finalize_allocates_no_second_family_tensor():
+    # the build of every table, given the family tensor: a sub-system of all
+    # variables is one constructor call on the shared tensor
     t, u = _depth_one_24_point_tuples()
-    system = _MaskSearch(t.space.dist, u.space.dist, max(t.space.tol, u.space.tol), _Budget(10**6))
-    _tuple_vars(system, t, u)
+    system, _ = _tuple_system(t, u)
     tracemalloc.start()
     try:
-        system.finalize()
+        rebuilt = system.subsystem(range(system.nvars))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert rebuilt.d_ll is system.d_ll
     assert peak < system.d_ll.nbytes, (peak, system.d_ll.nbytes)
 
 
@@ -1700,3 +1692,32 @@ def test_reports_keep_their_pinned_bytes(name):
     solve, x, y = _pinned_inputs()[name]
     report = formats.dumps(formats.bracket_doc(solve(x, y, 1e-3))).encode()
     assert hashlib.sha256(report).hexdigest() == PINNED_REPORTS[name]
+
+
+# Ticks each solve above spends: a change to the search effort, even one that
+# keeps every report byte, must update it here.
+PINNED_TICKS = {
+    "compact-near": 52,
+    "compact-unrelated-4": 43,
+    "compact-unrelated-5": 54,
+    "truncated-near": 52,
+    "truncated-unrelated": 140,
+    "tuple-near-2": 48,
+    "tuple-near-3": 48,
+    "tuple-unrelated-2": 1067,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TICKS))
+def test_solves_keep_their_pinned_ticks(name, monkeypatch):
+    budgets = []
+
+    class Recorded(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(gh_solver, "_Budget", Recorded)
+    solve, x, y = _pinned_inputs()[name]
+    solve(x, y, 1e-3)
+    assert sum(b.limit - b.left for b in budgets) == PINNED_TICKS[name]
