@@ -18,20 +18,27 @@ the no-shortcut test of the shortest-path closure; certificates are still
 materialized (and re-validated) through glue_from_constraints.
 
 At fixed caps the condition becomes one tensor of allowed-value bitmasks per
-query, one row per ordered variable pair. A bit-parallel arc-consistency
-fixpoint over that tensor (Mackworth 1977) refutes most infeasible caps
-before any search. On near inputs it leaves one value per variable for most
-of the rest, which decides them without a search: that assignment is the
-one every search order would find, and one walk over the variables reads
-it off. One backtracking search over all variables decides the others.
-Every cap query, at fixed caps or at a bounded cap total, takes this one
-path, on a system built in one call from its list of variables.
+query, laid out [i, p, j]: one contiguous row per variable i and value p,
+holding the mask of compatible values of every variable j. A bit-parallel
+arc-consistency fixpoint over that tensor (Mackworth 1977) refutes most
+infeasible caps before any search. On near inputs it leaves one value per
+variable for most of the rest, which decides them without a search: that
+assignment is the one every search order would find, and one walk over the
+variables reads it off. One backtracking search over all variables decides
+the others. Every cap query, at fixed caps or at a bounded cap total, takes
+this one path, on a system built in one call from its list of variables.
+A decision step whose bound reaches the larger space's largest distance
+needs no masks: every mask then admits every pair, and the search's first
+path, each variable's lowest value, is read off in closed form when the hook
+provably accepts all of it.
 
 One forward-checking kernel, ``_backtrack``, serves every map search: cap
 assignments, approximations, rough isometries, isometries and convergence
 checks are each bitmask domains and a table of pairwise-compatible values,
-and each is a single search. Image clauses ("f(A) comes eps-close to every
-point of B") are not pairwise; approximations, rough isometries and
+and each is a single search. Its forward-checking pass also picks the next
+most-constrained variable, so no node counts the domains twice. Image
+clauses ("f(A) comes eps-close to every point of B") are not pairwise;
+approximations, rough isometries and
 convergence checks forward-check them with one per-node hook,
 ``_image_hook``, which drops a value once some target lies beyond eps of
 every value the clause's image variables can still take. The compact pair
@@ -67,6 +74,7 @@ bracket and witness is that of searching every step.
 import numbers
 import os
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,7 +142,7 @@ def _bisect(step, lo, hi, width, tol):
     return lo, hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApproximationPair:
     """Maps f: X -> Y and g: Y -> X witnessing an eps-approximation."""
 
@@ -143,7 +151,7 @@ class ApproximationPair:
     eps: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistanceBracket:
     """lo <= true infimum <= hi, with hi - lo at most the requested resolution.
 
@@ -171,7 +179,7 @@ class DistanceBracket:
         return self.lo <= 0.0 <= self.hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoughIsometryWitness:
     """A partial map on the closed R-ball of A with distortion below eps."""
 
@@ -225,7 +233,8 @@ def _mismatches(dx, dy):
 def _compat_table(mismatch, bound):
     """Pairwise compatibility of maps, from their ``_mismatches``: entry
     [i, j, p] is the bitmask of values q of point j with mismatch[i, j, p, q]
-    <= bound, given value p of point i."""
+    <= bound, given value p of point i. ``_backtrack`` reads it through its
+    ``.transpose(0, 2, 1)`` view."""
     return (mismatch <= bound).astype(np.int64) @ _bit_weights(mismatch.shape[3])
 
 
@@ -234,51 +243,55 @@ def _backtrack(todo, doms, rows, tick, lexicographic=True, hook=None, state=None
     the variables ``todo`` as {variable: value}, or None.
 
     ``doms[i]`` is the bitmask of values of variable i, and ``rows`` the
-    (V, V, n) int64 tensor whose entry [i, j, p] is the bitmask of values of
-    j compatible with value p of i. Its column ``rows[i, :, p]`` becomes a
-    list the first time the search visits value p of i, so a search pays for
-    the values it visits, not for the whole tensor. Assigning a value prunes
+    (V, n, V) int64 tensor whose entry [i, p, j] is the bitmask of values of
+    j compatible with value p of i. Its row ``rows[i, p]`` becomes a list the
+    first time the search visits value p of i, so a search pays for the
+    values it visits, not for the whole tensor. Assigning a value prunes
     every unassigned domain, and a wipeout drops the value, so only subtrees
     holding no compatible assignment are skipped. ``tick`` is called once
     per value tried.
 
     ``hook(state, i, p, out, doms)`` may carry a state down the search:
     given the state of the partial assignment ``out``, it returns the state
-    once variable i takes value p, or None to drop that value; ``doms`` holds
-    the pruned domains of the variables still unassigned. ``state`` belongs
+    once variable i takes value p, or None to drop that value; ``doms[j]``
+    is the pruned domain of each variable j still unassigned. ``state`` belongs
     to the empty assignment. A solution is a complete assignment of
     compatible values that the hook accepted at every step.
 
     Lexicographic mode assigns the variables in the order of ``todo`` with
     values ascending, so the assignment returned is the lexicographically
     first solution; otherwise the most constrained variable is assigned
-    first, which refutes far faster and cannot change a verdict.
+    first (ties go to the earliest in ``todo``), which refutes far faster and
+    cannot change a verdict. The forward-checking pass that prunes the
+    domains also picks that variable, so no second pass counts them.
     """
     if any(doms[i] == 0 for i in todo):
         return None
     out = {}
-    width = rows.shape[2]
-    visited = [None] * (rows.shape[0] * width)  # [i * width + p]: rows[i, :, p] as a list
+    width = rows.shape[1]
+    visited = [None] * (rows.shape[0] * width)  # [i * width + p]: rows[i, p] as a list
 
-    def rec(doms, todo, state):
-        if not todo:
-            return True
-        if lexicographic:
-            level = todo[0]
-        else:
-            level = min(todo, key=lambda i: doms[i].bit_count())  # ties: earliest in todo
-        rest = [j for j in todo if j != level]
-        for p in _mask_bits(doms[level]):
+    def rec(doms, level, rest, state):
+        """Assign ``level``; ``rest`` holds the other unassigned variables, in todo order."""
+        values = doms[level]
+        while values:
+            low = values & -values
+            values ^= low
+            p = low.bit_length() - 1
             tick()
             row = visited[level * width + p]
             if row is None:
-                row = visited[level * width + p] = rows[level, :, p].tolist()
-            nxt = {}
+                row = visited[level * width + p] = rows[level, p].tolist()
+            nxt, fewest, after = doms[:], width + 1, None  # no domain holds more than width values
             for j in rest:
                 nd = doms[j] & row[j]
                 if nd == 0:
                     break
                 nxt[j] = nd
+                if not lexicographic:
+                    count = nd.bit_count()
+                    if count < fewest:  # strict: ties keep the earliest
+                        fewest, after = count, j
             else:  # no domain wiped out
                 child = state
                 if hook is not None:
@@ -286,12 +299,25 @@ def _backtrack(todo, doms, rows, tick, lexicographic=True, hook=None, state=None
                     if child is None:
                         continue
                 out[level] = p
-                if rec(nxt, rest, child):
+                if not rest:
+                    return True
+                if lexicographic:
+                    after, others = rest[0], rest[1:]
+                else:
+                    others = rest.copy()
+                    others.remove(after)
+                if rec(nxt, after, others, child):
                     return True
                 del out[level]  # ``out`` holds exactly the current path
         return False
 
-    if rec({i: doms[i] for i in todo}, todo, state):
+    if not todo:
+        return out
+    if lexicographic:
+        first = todo[0]
+    else:
+        first = min(todo, key=lambda i: doms[i].bit_count())  # ties: earliest in todo
+    if rec(list(doms), first, [j for j in todo if j != first], state):
         return out
     return None
 
@@ -326,9 +352,12 @@ class _MaskSearch:
     enough to reuse heap memory.
 
     ``_build_masks`` turns a per-class-pair threshold matrix into one
-    (V, V, n) row tensor of allowed-value bitmasks, gathered through a slot
-    index from one packed tensor per distinct threshold, over the union of
-    both spaces' points.
+    (V, n, V) row tensor of allowed-value bitmasks, [i, p, j], so the masks
+    of one value are one contiguous row: arc consistency reduces over the
+    last axis, and the search converts ``rows[i, p]``. The rows are gathered
+    from one packed tensor per distinct threshold, over the union of both
+    spaces' points, through one flat index that a system builds once for
+    the slot pattern its queries repeat.
 
     Every query goes through ``_assign``, which first prunes all domains to
     the greatest arc-consistent ones with a bit-parallel fixpoint over the
@@ -342,7 +371,12 @@ class _MaskSearch:
     (much faster at refuting, and the verdict cannot depend on order), and
     ``first_witness`` explores variables in their fixed order with values
     ascending, so the assignment it returns is the lexicographically first
-    one. ``decide`` bounds the total of the caps instead of each cap.
+    one. ``decide`` bounds the total of the caps instead of each cap; at a
+    bound of at least ``_scale``, the larger space's largest distance, it
+    reads its hit off each variable's lowest value without building masks
+    (``_full_masks_hit``). Its hook reads each mismatch from the family
+    tensor's row of the assigned edge, converted to a list the first time
+    the step visits that edge.
     """
 
     # Elements per gathered block: its int64 index array and float64 values
@@ -354,7 +388,6 @@ class _MaskSearch:
 
     def __init__(self, dl, dr, d_ll, tol, budget, variables):
         self.dl, self.dr, self.d_ll, self.tol, self.budget = dl, dr, d_ll, tol, budget
-        self._dl_rows, self._dr_rows = dl.tolist(), dr.tolist()
         self.nl, self.nr = nl, nr = len(dl), len(dr)
         self._bits = _bit_weights(max(nl, nr))
         self.vars = [(side, int(src), int(cls), mask) for side, src, cls, mask, _, _ in variables]
@@ -365,10 +398,12 @@ class _MaskSearch:
         side, src = side[:, None], src[:, None]
         # the left and the right point of each variable's edge, per value
         values = np.arange(len(self._bits))
-        self._left_at = np.where(side == 0, src, values).tolist()
-        self._right_at = np.where(side == 0, values, src).tolist()
+        left_at, right_at = np.where(side == 0, src, values), np.where(side == 0, values, src)
+        self._left_at, self._right_at = left_at.tolist(), right_at.tolist()
+        self._edge_at = (left_at * nr + right_at).tolist()  # the edge (l, r) as l * nr + r
         # the same per domain position, padded with the first value, which a minimum ignores
         domains = [_mask_bits(m) for (_, _, _, m) in self.vars]
+        self._lowest = [d[0] for d in domains]  # each variable's lowest value
         width = max(map(len, domains))
         dom = np.array([d + d[:1] * (width - len(d)) for d in domains])
         left, right = np.where(side == 0, src, dom), np.where(side == 0, dom, src)
@@ -379,11 +414,11 @@ class _MaskSearch:
         for start in range(0, v - 1, step):
             rows, cols = slice(start, min(start + step, v - 1)), slice(start + 1, None)
             pair_min[rows, cols] = flat[head[rows, None, :, None] + tail[None, cols, None, :]].min(axis=(2, 3))
-        self.pair_min = np.triu(pair_min, 1)
-        # the upper-triangle views the mask builder tests
-        upper = np.triu_indices(v, 1)
-        self._pair_min_upper = self.pair_min[upper]
-        self._cls_upper = (self._cls[upper[0]], self._cls[upper[1]])
+        self.pair_min = np.triu(pair_min, 1)  # the chunks also wrote below the diagonal
+        self._cls_pairs = (self._cls[:, None], self._cls[None, :])  # [i, j]: (class of i, class of j)
+        # every mismatch |d_L - d_R| lies within the larger space's largest distance
+        self._scale = max(float(dl.max()), float(dr.max()))
+        self._gather_slots = self._gather = None  # ``_build_masks``' last slot pattern and its index
 
     def subsystem(self, keep):
         """The system of the variables ``keep`` (ascending), in their order,
@@ -394,39 +429,49 @@ class _MaskSearch:
     def class_floor(self, n_classes):
         """Entrywise lower bound on any assignment's per-class-pair mismatch maxima."""
         floor = np.zeros((n_classes, n_classes))
-        ci, cj = self._cls_upper
-        np.maximum.at(floor, (np.minimum(ci, cj), np.maximum(ci, cj)), self._pair_min_upper)
+        np.maximum.at(floor, self._cls_pairs, self.pair_min)
         return np.maximum(floor, floor.T)
 
-    def _packed(self, theta):
-        """Allowed-value bitmasks at one threshold, indexed by source points in
-        the union of both spaces (left points first): [u, w, p] is the mask of
-        values of a variable with source w compatible with value p of a
-        variable with source u."""
+    def _packed(self, theta, out):
+        """Write the allowed-value bitmasks at one threshold into ``out``,
+        indexed by source points in the union of both spaces (left points
+        first): [u, p, w] is the mask of values of a variable with source w
+        compatible with value p of a variable with source u. Entries of values
+        beyond a space's size stay as they are."""
         nl, nr = self.nl, self.nr
-        packed = np.zeros((nl + nr, nl + nr, len(self._bits)), dtype=np.int64)
         ok = (self.d_ll <= theta).astype(np.int64)  # the one int64 copy
         # x_rows[x1, x2, y1] masks the y2, y_rows[y1, y2, x1] the x2 within theta
         x_rows = ok @ self._bits[:nr]
         y_rows = ok.transpose(2, 3, 0, 1) @ self._bits[:nl]
-        packed[:nl, :nl, :nr], packed[nl:, :nl, :nl] = x_rows, x_rows.transpose(2, 1, 0)
-        packed[nl:, nl:, :nl], packed[:nl, nl:, :nr] = y_rows, y_rows.transpose(2, 1, 0)
-        return packed
+        out[:nl, :nr, :nl], out[nl:, :nl, :nl] = x_rows.transpose(0, 2, 1), x_rows.transpose(2, 0, 1)
+        out[nl:, :nl, nl:], out[:nl, :nr, nl:] = y_rows.transpose(0, 2, 1), y_rows.transpose(2, 0, 1)
 
     def _build_masks(self, theta):
-        """Row tensor at a per-class-pair threshold matrix; None when some
-        pair's smallest mismatch already exceeds its threshold.
+        """Row tensor at a symmetric per-class-pair threshold matrix; None
+        when some pair's smallest mismatch already exceeds its threshold.
 
-        Row tensor entry [i, j, p] is the bitmask of values of variable j
-        compatible with value p of variable i.
+        Row tensor entry [i, p, j] is the bitmask of values of variable j
+        compatible with value p of variable i, so the masks of one value are
+        one contiguous row.
         """
-        if (self._pair_min_upper > theta[self._cls_upper]).any():
+        if (self.pair_min > theta[self._cls_pairs]).any():
             return None  # some pair is already impossible at these thresholds
         flat = theta.ravel().tolist()
         levels = list(dict.fromkeys(flat))  # one packed tensor per distinct threshold
-        stack = np.stack([self._packed(t) for t in levels])
-        slot = np.array([levels.index(t) for t in flat]).reshape(theta.shape)
-        return stack[slot[self._cls[:, None], self._cls[None, :]], self._point[:, None], self._point[None, :]]
+        n_points, width = self.nl + self.nr, len(self._bits)
+        stack = np.zeros((len(levels), n_points, width, n_points), dtype=np.int64)
+        for t, out in zip(levels, stack):
+            self._packed(t, out)
+        slots = tuple(levels.index(t) for t in flat)
+        if slots != self._gather_slots:
+            # the flat index of every row entry in the stack; a system's
+            # queries repeat one slot pattern, so it is built once
+            slot = np.array(slots).reshape(theta.shape)[self._cls_pairs]
+            point = self._point
+            row = (slot[:, None, :] * n_points + point[:, None, None]) * width + np.arange(width)[:, None]
+            self._gather = row * n_points + point
+            self._gather_slots = slots
+        return stack.take(self._gather)
 
     def _arc_consistent(self, rows):
         """Greatest arc-consistent domains, or None on a wipeout.
@@ -439,7 +484,7 @@ class _MaskSearch:
         """
         doms = self._full
         while True:
-            supported = ((rows & doms[None, :, None]) != 0).all(axis=1)
+            supported = (rows & doms).all(axis=2)
             new = doms & (supported @ self._bits)
             if not new.all():
                 return None
@@ -495,12 +540,16 @@ class _MaskSearch:
         caps = np.asarray(budgets, dtype=float)
         return caps[:, None] + caps[None, :] + self.tol
 
-    def largest_mismatch(self, values):
-        """The largest mismatch between two variables at these values, the
-        same float that ``d_ll`` holds for that pair."""
+    def _mismatches_at(self, values):
+        """[i, j]: the mismatch of variables i and j at these values, the same
+        float that ``d_ll`` holds for that pair."""
         left = [at[p] for at, p in zip(self._left_at, values)]
         right = [at[p] for at, p in zip(self._right_at, values)]
-        return float(np.abs(self.dl[np.ix_(left, left)] - self.dr[np.ix_(right, right)]).max())
+        return np.abs(self.dl[np.ix_(left, left)] - self.dr[np.ix_(right, right)])
+
+    def largest_mismatch(self, values):
+        """The largest mismatch between two variables at these values."""
+        return float(self._mismatches_at(values).max())
 
     def feasible(self, budgets):
         """Some satisfying assignment at these caps, or None (fast refutation)."""
@@ -548,30 +597,41 @@ class _MaskSearch:
         cheapest LP value the hook dropped, less tol. Below retry the masks,
         the arc-consistent domains, the search order and every hook verdict
         are the ones here, so every total in [total, retry) is refuted too.
+
+        A total at least the scale less tol needs no masks (``_full_masks_hit``).
         """
         bound = total + self.tol
         least = _lp_min_total(floor)[0]
         if least > bound:  # every assignment costs at least the floor's LP value
             return None, least - self.tol
         theta = np.where(np.eye(len(floor), dtype=bool), 2 * bound, bound)
-        cls, left, right, dl, dr = self._cls.tolist(), self._left_at, self._right_at, self._dl_rows, self._dr_rows
-        last = self.nvars - 1
+        if bound >= self._scale:
+            hit = self._full_masks_hit(bound, floor, theta)
+            if hit is not None:
+                return hit, None
+        cls, edge_at, d_ll, nr = self._cls.tolist(), self._edge_at, self.d_ll, self.nr
+        mismatch = [None] * (self.nl * nr)  # [edge]: the edge's mismatches with every edge, as a list
+        n = self.nvars
         final = []
         dropped = float("inf")  # the cheapest LP value the hook dropped
 
-        def hook(m, i, p, out, doms):
+        def hook(state, i, p, out, doms):
+            """``state`` is (maxima, path): ``path`` holds the edge and the
+            class of each assigned variable."""
             nonlocal dropped
-            ci, grown = cls[i], None
-            dl_i, dr_i = dl[left[i][p]], dr[right[i][p]]
-            for j, q in out.items():
-                d = dl_i[left[j][q]] - dr_i[right[j][q]]
-                if d < 0.0:
-                    d = -d
-                cj = cls[j]
-                if d > (grown or m)[ci][cj]:
+            m, path = state
+            edge, ci = edge_at[i][p], cls[i]
+            row = mismatch[edge]
+            if row is None:
+                row = mismatch[edge] = d_ll[edge // nr, :, edge % nr].ravel().tolist()
+            m_i, grown = m[ci], None
+            for edge_j, cj in path:
+                d = row[edge_j]
+                if d > m_i[cj]:
                     if grown is None:
                         grown = [r[:] for r in m]
-                    grown[ci][cj] = grown[cj][ci] = d
+                        m_i = grown[ci]
+                    m_i[cj] = grown[cj][ci] = d
             if grown is not None:
                 cost = _lp_min_total(grown)[0]
                 if cost > bound:
@@ -579,16 +639,48 @@ class _MaskSearch:
                         dropped = cost
                     return None
                 m = grown
-            if len(out) == last:
+            path += ((edge, ci),)
+            if len(path) == n:
                 final.append(m)  # the search stops at its first complete assignment
-            return m
+            return m, path
 
         # every assignment's maxima reach the class floor, so the search starts there
-        got = self._assign(theta, False, hook, floor)
+        got = self._assign(theta, False, hook, (floor, ()))
         if got is None:  # dropped stays inf when no search ran
             return None, min(self._next_mask_level(total), dropped - self.tol)
         values, decided = got
         return (values, final[-1], theta if decided else None), None
+
+    def _full_masks_hit(self, bound, floor, theta):
+        """``decide``'s hit at a bound of at least ``_scale``, read off in
+        closed form, or None when only the search can tell.
+
+        No mismatch exceeds the scale, so every mask admits every pair: arc
+        consistency keeps every domain whole, and forward checking prunes
+        nothing. The search therefore tries each variable's lowest value
+        first, in any variable order. Each partial assignment of those values
+        has maxima entrywise at most the complete one's, ``maxima``, and the
+        hook's LP value never rises as an entry falls, in floating point too.
+        So when ``maxima`` pass a test no weaker than the hook's, the hook
+        accepts every lowest value, and the search returns them after one
+        tick per variable. The test is the LP value itself for two classes,
+        whose closed form is monotone. For more, the Hungarian method sums
+        one entry per column, in column order, so half the sum of the column
+        maxima bounds its value at every part; with three or more classes
+        that bound can exceed ``bound`` where the LP does not, and the search
+        decides.
+        """
+        maxima = np.array(floor)
+        np.maximum.at(maxima, self._cls_pairs, self._mismatches_at(self._lowest))
+        maxima = maxima.tolist()
+        if len(maxima) == 2:
+            cost = _lp_min_total(maxima)[0]
+        else:
+            cost = sum(map(max, maxima)) / 2.0  # symmetric: row maxima are column maxima
+        if cost > bound:
+            return None
+        self.budget.tick(self.nvars)
+        return list(self._lowest), maxima, theta if _decided([m for *_, m in self.vars]) else None
 
     def _next_mask_level(self, total):
         """The smallest total above ``total`` at which ``decide`` builds other
@@ -648,6 +740,13 @@ def _lp_min_total(m):
     return weight / 2.0, [(u[i] + v[i]) / 2.0 for i in range(1, c + 1)]
 
 
+@lru_cache(maxsize=4096)
+def _level_key(level, index):
+    """The witness key (level, index) of a subset map's variable, one shared
+    tuple per key, so answers held together keep no copies of it."""
+    return level, index
+
+
 def _tuple_system(tuple_t, tuple_u, tol, budget):
     """The cap system of two tuples: f and g in class 0, then the subset maps
     of chain level k both ways in class k + 1. Fixed order keeps witnesses
@@ -659,8 +758,8 @@ def _tuple_system(tuple_t, tuple_u, tol, budget):
     variables += [(1, y, 0, (1 << nl) - 1, "g", y) for y in range(nr)]
     for k, (a, b) in enumerate(zip(tuple_t.chain, tuple_u.chain)):
         mask_a, mask_b = (sum(1 << int(v) for v in ref.indices) for ref in (a, b))
-        variables += [(0, x, k + 1, mask_b, "alpha", (k, x)) for x in a.indices]
-        variables += [(1, y, k + 1, mask_a, "beta", (k, y)) for y in b.indices]
+        variables += [(0, x, k + 1, mask_b, "alpha", _level_key(k, x)) for x in a.indices]
+        variables += [(1, y, k + 1, mask_a, "beta", _level_key(k, y)) for y in b.indices]
     return _MaskSearch(dl, dr, _mismatches(dl, dr), tol, budget, variables)
 
 
@@ -688,7 +787,9 @@ class _BallSystems:
 
     def __init__(self, full, pair_p, pair_q):
         self.full = full
-        self._near = [(subset_distances(x.space, x.a), x.space.tol) for x in (pair_p, pair_q)]
+        # per variable, its source's distance to its side's subset, and that side's tolerance
+        near = [(subset_distances(x.space, x.a), np.full(len(x.space), x.space.tol)) for x in (pair_p, pair_q)]
+        self._source_dist, self._source_tol = (np.concatenate(col)[full._point] for col in zip(*near))
         self._found = []  # (variables kept, largest mismatch) of each assignment found
         floor = float(full.pair_min.max())
         if floor <= _TRUNCATION_CAP + _TRUNCATION_CAP + full.tol:
@@ -700,9 +801,7 @@ class _BallSystems:
         return values is not None
 
     def _keep(self, eps):
-        radius = 1.0 / eps
-        inside = np.concatenate([d <= radius + tol for d, tol in self._near])  # as ``ball`` tests closed balls
-        return np.flatnonzero(inside[self.full._point])
+        return np.flatnonzero(self._source_dist <= 1.0 / eps + self._source_tol)  # as ``ball`` tests closed balls
 
     def system(self, eps):
         return self._system(self._keep(eps))
@@ -1008,7 +1107,9 @@ def _approx_search(pair_p, pair_q, eps, bud, mismatch):
     # f(A) near every point of B, and g(B) near every point of A
     f_image = (a_idx, _near_masks(dr, b_idx, bound))
     g_image = ([nl + b for b in b_idx], _near_masks(dl, a_idx, bound))
-    fg = _backtrack(list(range(nl + nr)), doms, rows, bud.tick, hook=_image_hook([f_image, g_image]), state=True)
+    fg = _backtrack(
+        list(range(nl + nr)), doms, rows.transpose(0, 2, 1), bud.tick, hook=_image_hook([f_image, g_image]), state=True
+    )
     if fg is None:
         return None
     return ApproximationPair(f=tuple(fg[x] for x in range(nl)), g=tuple(fg[nl + y] for y in range(nr)), eps=float(eps))
@@ -1170,7 +1271,7 @@ def rough_isometry_search(pair_p, pair_q, radius, eps, budget=None):
     rows = _compat_table(_mismatches(dl[np.ix_(dom, dom)], dr), eps + tol)
     # the image comes eps-close to every point of the target ball, which holds B
     covers = _image_hook([(range(len(dom)), _near_masks(dr, tgt, eps + tol))])
-    f = _backtrack(list(range(len(dom))), doms, rows, bud.tick, hook=covers, state=True)
+    f = _backtrack(list(range(len(dom))), doms, rows.transpose(0, 2, 1), bud.tick, hook=covers, state=True)
     if f is None:
         return None
     return RoughIsometryWitness(
@@ -1191,7 +1292,7 @@ def pair_isometry_search(pair_p, pair_q):
     doms = [in_b if x in a_set else ((1 << n) - 1) ^ in_b for x in range(n)]
     # clearing bit p from every row at value p makes the map injective
     rows = _compat_table(_mismatches(left.dist, right.dist), tol) & ~_bit_weights(n)
-    perm = _backtrack(list(range(n)), doms, rows, tick=lambda: None)
+    perm = _backtrack(list(range(n)), doms, rows.transpose(0, 2, 1), tick=lambda: None)
     if perm is None:
         return None
     return tuple(perm[x] for x in range(n))
@@ -1227,7 +1328,7 @@ def verify_convergence(seq, target, sched, resolution=1e-3, budget=None):
             bound = eps + tol
             near_b = int((d_to_b <= bound) @ _bit_weights(len(right)))
             doms = [near_b if k in a_loc else (1 << len(right)) - 1 for k in all_vars]  # f(a) near B
-            rows = _compat_table(mismatch, bound)
+            rows = _compat_table(mismatch, bound).transpose(0, 2, 1)
             # B near f(A), and the target ball near the whole image
             covers = _image_hook([(a_loc, _near_masks(dr, b_idx, bound)), (all_vars, _near_masks(dr, tgt, bound))])
             return _backtrack(all_vars, doms, rows, bud.tick, hook=covers, state=True) is not None

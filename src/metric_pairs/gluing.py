@@ -7,8 +7,7 @@ CrossMetric; validation checks all four mixed triangle-inequality families
 exhaustively (vectorized) within the working tolerance.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,32 +25,31 @@ from .hausdorff import hausdorff_of_matrix
 from .metric_core import SubsetRef, _cells, _fw_fixpoint, ball, check_subset, subset_distances
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CrossMetric:
     """An admissible gluing of two spaces, stored as its cross-distance block.
 
     ``pseudo`` permits zero cross entries (pseudometric gluings); the distance
-    infima computed by the solvers are taken over these.
+    infima computed by the solvers are taken over these. ``tol`` is the
+    larger of the two spaces' tolerances.
     """
 
     left: object
     right: object
     cross: np.ndarray
     pseudo: bool = False
+    tol: float = field(init=False)
 
     def __post_init__(self):
         c = np.asarray(self.cross, dtype=float)
         if c.shape != (len(self.left), len(self.right)):
             raise MetricValidationError([MetricViolation("cross_shape", c.shape)])
         object.__setattr__(self, "cross", c)
+        object.__setattr__(self, "tol", max(self.left.tol, self.right.tol))
         c.flags.writeable = False
         violations = self._violations()
         if violations:
             raise MetricValidationError(violations)
-
-    @cached_property
-    def tol(self):
-        return max(self.left.tol, self.right.tol)
 
     def _violations(self):
         c, tol = self.cross, self.tol
@@ -85,8 +83,20 @@ class CrossMetric:
         return out
 
     def transposed(self):
-        """The same gluing viewed from the other side."""
-        return CrossMetric(self.right, self.left, self.cross.T.copy(), self.pseudo)
+        """The same gluing viewed from the other side.
+
+        Transposition maps the validation families onto each other (the two
+        path families, and the two pair families) with the same sums, and
+        keeps the entry checks and the tolerance, so the mirror is valid
+        exactly when this gluing is, and is not validated again.
+        """
+        mirror = object.__new__(CrossMetric)
+        cross = self.cross.T.copy()
+        cross.flags.writeable = False
+        fields = {"left": self.right, "right": self.left, "cross": cross, "pseudo": self.pseudo, "tol": self.tol}
+        for name, value in fields.items():
+            object.__setattr__(mirror, name, value)
+        return mirror
 
 
 @dataclass(frozen=True)

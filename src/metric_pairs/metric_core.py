@@ -205,24 +205,43 @@ def diam(space, ref):
     return float(sub.max())
 
 
+# Elements per block of two-step path sums in ``_fw_fixpoint``'s fixpoint
+# test: 64 KiB of float64, or one row's sums when those are more
+_TWO_STEP_BLOCK = 1 << 13
+
+
 def _fw_fixpoint(mat):
     """Shortest-path closure of a weighted adjacency matrix (inf: no edge).
 
-    Floyd-Warshall passes repeat until one changes nothing. At that fixpoint
-    no entry exceeds a two-step path in floating point, which is the
+    Floyd-Warshall passes repeat until one would change nothing. At that
+    fixpoint no entry exceeds a two-step path in floating point, which is the
     triangle check validate_metric runs, so the result passes it with
     tolerance zero.
     Each pivot builds its two-step paths in full, then lowers the matrix in
     place: a pass holds three N x N arrays, never an N^3 one.
+    A pass changes nothing iff no two-step path d[i, k] + d[k, j] is below
+    d[i, j]: until the first pivot k with such a path, every pivot leaves the
+    matrix as it is, and pivot k lowers (i, j). So after each pass that test,
+    on the same sums in blocks of whole rows of about 64 KiB, replaces a
+    second pass.
     """
     d = mat.copy()
     n = len(d)
     while True:
-        start = d.copy()
         for k in range(n):
             np.minimum(d, d[:, k, None] + d[k], out=d)
-        if not (d < start).any():  # entries only fall, so nothing changed
+        if not _has_shortcut(d):
             return d
+
+
+def _has_shortcut(d):
+    """Whether some two-step path d[i, k] + d[k, j] is below d[i, j]."""
+    rows = max(1, _TWO_STEP_BLOCK // d.size) if d.size else 1
+    for i in range(0, len(d), rows):
+        block = d[i : i + rows]
+        if (block[:, :, None] + d < block[:, None, :]).any():  # [i, k, j]: d[i, k] + d[k, j] < d[i, j]
+            return True
+    return False
 
 
 def shortest_path_closure(graph):
@@ -257,6 +276,8 @@ def restrict(space, ref):
 
 def same_space(s1, s2, tol=None):
     """Same labels and the same matrix (within the larger of the tolerances)."""
+    if s1 is s2:
+        return True
     if s1.labels != s2.labels or len(s1) != len(s2):
         return False
     if tol is None:

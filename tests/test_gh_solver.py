@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import subprocess
@@ -368,7 +369,7 @@ def _assert_masks_match_reference(system, theta):
             dom_j = _domain(system.vars[j][3])
             for a, p in enumerate(_domain(system.vars[i][3])):
                 want = sum(1 << q for b, q in enumerate(dom_j) if block[a, b] <= theta[cls[i], cls[j]])
-                assert int(rows[i, j, p]) & system.vars[j][3] == want
+                assert int(rows[i, p, j]) & system.vars[j][3] == want
     return 1
 
 
@@ -436,13 +437,15 @@ def test_lp_search_tables_match_per_pair_reference(depth):
 def test_masks_build_one_packed_tensor_per_distinct_threshold(monkeypatch):
     rng = np.random.default_rng(46)
     left, right = random_space(rng, 4), random_space(rng, 4)
-    system, _ = _tuple_system(_chain(left, (1, 2, 3)), _chain(right, (1, 2, 3)))
+    system, tol = _tuple_system(_chain(left, (1, 2, 3)), _chain(right, (1, 2, 3)))
     calls = []
     packed = _MaskSearch._packed
-    monkeypatch.setattr(_MaskSearch, "_packed", lambda self, theta: calls.append(theta) or packed(self, theta))
-    # at the diameter no pair is hopeless, so every step builds its masks
+    monkeypatch.setattr(
+        _MaskSearch, "_packed", lambda self, theta, out: calls.append(theta) or packed(self, theta, out)
+    )
+    # just below the diameter decide still builds its masks, and no pair is hopeless
     total = max(left.diameter, right.diameter)
-    system.decide(total, system.class_floor(4).tolist())
+    system.decide(total - 2 * tol, system.class_floor(4).tolist())
     assert len(calls) == 2  # within a class and across classes, not one per class pair
     calls.clear()
     caps = [total, 2 * total, 4 * total, 8 * total]  # pairwise sums all differ
@@ -969,14 +972,15 @@ def test_decision_setup_stays_below_two_family_tensors():
 @pytest.mark.parametrize("query", ["decide", "feasible"])
 def test_searches_stay_below_two_family_tensors(query):
     # a search converts only the rows of the values it visits; converting the
-    # whole row tensor to nested lists peaked at 2.8x (decide) and 2.6x
+    # whole row tensor to nested lists peaked at 2.8x (decide) and 2.6x; below
+    # the scale less tol, decide builds its masks and searches
     t, u = _depth_one_24_point_tuples()
-    system, _ = _tuple_system(t, u)
+    system, tol = _tuple_system(t, u)
     total = max(t.space.diameter, u.space.diameter)
     floor = system.class_floor(2).tolist()
     tracemalloc.start()
     try:
-        found = system.decide(total, floor)[0] if query == "decide" else system.feasible((total, total))
+        found = system.decide(total - 2 * tol, floor)[0] if query == "decide" else system.feasible((total, total))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1721,3 +1725,113 @@ def test_solves_keep_their_pinned_ticks(name, monkeypatch):
     solve, x, y = _pinned_inputs()[name]
     solve(x, y, 1e-3)
     assert sum(b.limit - b.left for b in budgets) == PINNED_TICKS[name]
+
+
+def _map_search_inputs():
+    """Seeded near and unrelated inputs for the map searches, by name: each
+    entry runs one solve."""
+    rng = np.random.default_rng(98)
+    near_p, near_q = _near_nine_point_pair()
+    un_p, un_q = random_pair(rng, 5, 5), random_pair(rng, 5, 5)
+    perm = rng.permutation(9).tolist()
+    relabelled = validate_metric(near_p.space.dist[np.ix_(perm, perm)])
+    iso_q = _pair(relabelled, sorted(perm.index(i) for i in near_p.a.indices))
+    target = random_pair(rng, 4, 4, hi=2.0)
+    near_seq = [MetricPair(jittered_copy(target.space, rng, jitter), target.a) for jitter in (0.4, 0.1)]
+    un_seq = [random_pair(rng, 4, 4, hi=2.0) for _ in range(2)]
+    sched = ConvergenceSchedule(eps_seq=(0.5, 0.2), radius_seq=(3.0, 6.0))
+    return {
+        "approx-near": lambda: min_approx_eps(near_p, near_q, 1e-3),
+        "approx-unrelated": lambda: min_approx_eps(un_p, un_q, 1e-3),
+        "rough-near": lambda: rough_isometry_search(near_p, near_q, 12.0, 2.5),
+        "rough-unrelated": lambda: rough_isometry_search(un_p, un_q, 12.0, 2.0),
+        "isometry-near": lambda: pair_isometry_search(near_p, iso_q),
+        "isometry-unrelated": lambda: pair_isometry_search(un_p, un_q),
+        "convergence-near": lambda: verify_convergence(near_seq, target, sched),
+        "convergence-unrelated": lambda: verify_convergence(un_seq, target, sched),
+    }
+
+
+def _answer_bytes(result):
+    if isinstance(result, DistanceBracket):
+        return formats.dumps(formats.bracket_doc(result)).encode()
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.asdict(result)
+    return formats.dumps({"answer": result}).encode()
+
+
+# Ticks and SHA-256 of each answer above, recorded before the search kernel
+# fused its most-constrained choice into forward checking and read masks
+# row-major; a change to any answer byte or to the search effort must update
+# it here. The isometry search ticks no budget.
+PINNED_MAP_SEARCHES = {
+    "approx-near": ("46bc31ef672a2096fdce1d212a7f4ed75efff9efe549e27a6a950fd21a054cd1", 18),
+    "approx-unrelated": ("ef10f7799376e491e6e8a25289e0962465bf76c5da1114c5897214da7015f891", 1837),
+    "convergence-near": ("dc98490285c2ede21202e18ac5e8573be0e9c734500dae9e9906f968b2b335a8", 87),
+    "convergence-unrelated": ("287435d577395d65f28af3b794351b01587c537bab3025d94dc425a1bb3499a6", 497),
+    "isometry-near": ("917885284f0e1afd2068195fc2f57feca59f6d6f5b89672eab12985ce84f2dc8", 0),
+    "isometry-unrelated": ("dbf374d2c9c53ef7c7be79c6bb7d63ddb797910bdf31e8531e92d4318f0d57e3", 0),
+    "rough-near": ("7591e2b18c5a72c7fe9b8d0278d3bdd4a00ee289f8f8659eeed252d3b0fbcd7e", 12),
+    "rough-unrelated": ("dbf374d2c9c53ef7c7be79c6bb7d63ddb797910bdf31e8531e92d4318f0d57e3", 57),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MAP_SEARCHES))
+def test_map_searches_keep_their_pinned_answers_and_ticks(name, monkeypatch):
+    budgets = []
+
+    class Recorded(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(gh_solver, "_Budget", Recorded)
+    answer = hashlib.sha256(_answer_bytes(_map_search_inputs()[name]())).hexdigest()
+    assert (answer, sum(b.limit - b.left for b in budgets)) == PINNED_MAP_SEARCHES[name]
+
+
+def test_full_mask_steps_match_the_search(monkeypatch):
+    # At a bound of at least the scale every mask is full, and decide reads
+    # its hit off the lowest values; with the scale at infinity it always
+    # searches. Hits, refutations and ticks agree at totals around the scale
+    # and at the compact solvers' scale probe n_cls * scale / 2. With four
+    # classes the bound on the hook's LP values can exceed the total where
+    # the search may still hit, and the search decides.
+    rng = np.random.default_rng(89)
+    systems = [(system, tol, 2) for system, tol in _near_and_unrelated_systems(88, jitter=0.3)]
+    for kind, n, depth in (("u", 4, 2), ("n", 4, 2), ("u", 5, 2), ("n", 5, 2), ("n", 4, 3), ("u", 5, 3)):
+        if kind == "u":
+            left, right = random_space(rng, n), random_space(rng, n)
+            pair = _nested_tuple(rng, left, depth), _nested_tuple(rng, right, depth)
+        else:
+            pair = _near_tuple(rng, n, depth)
+        systems.append((*_tuple_system(*pair), depth + 1))
+    closed = []
+    full_masks_hit = _MaskSearch._full_masks_hit
+    monkeypatch.setattr(
+        _MaskSearch, "_full_masks_hit", lambda self, *args: closed.append(full_masks_hit(self, *args)) or closed[-1]
+    )
+    seen = {"closed form": 0, "fell back, 4 classes": 0, "refuted": 0}
+    for system, tol, n_cls in systems:
+        system.budget = _Budget(10**7)
+        floor = system.class_floor(n_cls).tolist()
+        scale = system._scale
+        for total in (scale - 2 * tol, scale - tol, scale, n_cls * scale / 2):
+            closed.clear()
+            (hit, retry), ticks = _ticks(system, lambda: system.decide(total, floor))
+            system._scale = float("inf")
+            (want, want_retry), want_ticks = _ticks(system, lambda: system.decide(total, floor))
+            system._scale = scale
+            assert ticks == want_ticks and retry == want_retry, (total, scale)
+            assert (hit is None) == (want is None)
+            if hit is not None:
+                assert hit[:2] == want[:2]
+                assert (hit[2] is None) == (want[2] is None) and (hit[2] is None or np.array_equal(hit[2], want[2]))
+            else:
+                seen["refuted"] += 1
+            assert bool(closed) == (total + tol >= scale)
+            if closed and closed[0] is not None:
+                seen["closed form"] += 1
+            elif closed and n_cls == 4:
+                seen["fell back, 4 classes"] += 1
+    assert all(seen.values()), seen

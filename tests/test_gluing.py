@@ -41,6 +41,21 @@ def test_cross_metric_requires_positive_entries_unless_pseudo():
     assert CrossMetric(space, space, space.dist.copy(), pseudo=True).pseudo
 
 
+def test_transposed_gluing_equals_a_validated_mirror():
+    # transposition maps the validation families onto each other, so the
+    # mirror skips validation and must equal one built and validated anew
+    rng = np.random.default_rng(5)
+    for pseudo in (False, True):
+        left, right = random_space(rng, 4), random_space(rng, 3, tol=1e-6)
+        edges = [(i, j, 3.0) for i in range(4) for j in range(3) if (i + j) % 2]
+        glue = glue_from_constraints(left, right, edges, pseudo=pseudo)
+        mirror, want = glue.transposed(), CrossMetric(right, left, glue.cross.T.copy(), pseudo)
+        assert (mirror.left, mirror.right, mirror.pseudo, mirror.tol) == (want.left, want.right, want.pseudo, want.tol)
+        assert mirror.cross.tobytes() == want.cross.tobytes() and mirror.cross.flags.c_contiguous
+        assert not mirror.cross.flags.writeable
+        assert mirror.transposed().cross.tobytes() == glue.cross.tobytes()
+
+
 def test_glue_from_constraints_identity_edges():
     rng = np.random.default_rng(0)
     space = random_space(rng, 4)
